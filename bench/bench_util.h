@@ -91,6 +91,17 @@ inline double TimeCensus(const Graph& graph, const Pattern& pattern,
   return seconds;
 }
 
+/// Exits when a census timed under a generic engine's name was answered by
+/// the fast path: every column must time the engine it names.
+inline void RequireGenericEngine(const CensusStats& stats,
+                                 const std::string& column) {
+  if (stats.fastpath_routed != 0) {
+    std::cerr << column << ": fastpath_routed = " << stats.fastpath_routed
+              << ", expected 0 (the column must time its own engine)\n";
+    std::exit(1);
+  }
+}
+
 /// Runs `reps` censuses, aggregating stats across runs with
 /// CensusStats::Merge (counters sum, peak metrics max). Returns the best
 /// (minimum) wall-clock seconds of the repetitions.

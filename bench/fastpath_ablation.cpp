@@ -1,14 +1,17 @@
 // Fast-path ablation (docs/FAST_PATH.md): for every connected <= 4-node
-// shape, the same k=1 census through the combinatorial kernels, the
-// generic engine with the CN matcher, and the generic engine with the GQL
-// matcher. Emits a JSON document (stdout) with per-shape wall-clock,
-// speedup-vs-CN / speedup-vs-GQL, and a bit_identical flag comparing the
-// fast-path counts against the CN reference — CI runs this on a tiny graph
-// and asserts bit_identical for every shape; at default scale the triangle
-// and wedge rows demonstrate the >= 5x the fast path exists for.
+// shape, the same census through the combinatorial kernels, ND-PVOT with
+// the CN matcher, ND-PVOT with the GQL matcher, and the planner's choice
+// (CensusAlgorithm::kAuto). Emits a JSON document (stdout) with per-shape
+// wall-clock, speedup-vs-CN / speedup-vs-GQL, the planner's engine and its
+// auto/best ratio against the fastest of the other three columns, and a
+// bit_identical flag comparing the fast-path and auto counts against the
+// CN reference — CI runs this on a tiny graph and asserts bit_identical
+// for every shape; at default scale the triangle and wedge rows
+// demonstrate the >= 5x the fast path exists for.
 //
 //   fastpath_ablation [--nodes N] [--edges-per-node M] [--k K] [--reps R]
 
+#include <algorithm>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -87,24 +90,34 @@ int main(int argc, char** argv) {
     CensusOptions fast;
     fast.fast_path = FastPathMode::kForce;
     fast.k = k;
+    CensusOptions automatic;
+    automatic.k = k;
 
-    double cn_s = TimeCensusBestOf(graph, *pattern, focal, cn, reps);
+    CensusStats cn_stats;
+    double cn_s = TimeCensusBestOf(graph, *pattern, focal, cn, reps, &cn_stats);
+    RequireGenericEngine(cn_stats, "cn");
     double gql_s = TimeCensusBestOf(graph, *pattern, focal, gql, reps);
     double fast_s = TimeCensusBestOf(graph, *pattern, focal, fast, reps);
+    double auto_s = TimeCensusBestOf(graph, *pattern, focal, automatic, reps);
+    const double best_s = std::min({fast_s, cn_s, gql_s});
 
     // Bit-identity check outside the timed loop.
     auto reference = RunCensus(graph, *pattern, focal, cn);
     auto routed = RunCensus(graph, *pattern, focal, fast);
-    if (!reference.ok() || !routed.ok()) {
+    auto planned = RunCensus(graph, *pattern, focal, automatic);
+    if (!reference.ok() || !routed.ok() || !planned.ok()) {
       std::cerr << "census failed for " << shapes[i].label << "\n";
       return 1;
     }
-    bool identical = reference->counts == routed->counts;
+    bool identical = reference->counts == routed->counts &&
+                     reference->counts == planned->counts;
     all_identical = all_identical && identical;
 
     std::cout << "    {\"shape\": \"" << shapes[i].label << "\""
               << ", \"fastpath_s\": " << fast_s << ", \"cn_s\": " << cn_s
-              << ", \"gql_s\": " << gql_s
+              << ", \"gql_s\": " << gql_s << ", \"auto_s\": " << auto_s
+              << ", \"auto_plan\": \"" << planned->plan << "\""
+              << ", \"auto_over_best\": " << (best_s > 0 ? auto_s / best_s : 0)
               << ", \"speedup_vs_cn\": " << (fast_s > 0 ? cn_s / fast_s : 0)
               << ", \"speedup_vs_gql\": " << (fast_s > 0 ? gql_s / fast_s : 0)
               << ", \"bit_identical\": " << (identical ? "true" : "false")

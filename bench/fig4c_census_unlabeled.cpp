@@ -2,7 +2,8 @@
 // the query COUNTP(clq3-unlb, SUBGRAPH(ID, 2)) over all nodes. The
 // unlabeled triangle is non-selective (many matches), so node-driven
 // ND-PVOT wins and pattern-driven methods lag; ND-BAS (reported only at the
-// smallest size) is ~2 orders of magnitude slower than ND-PVOT.
+// smallest size) is ~2 orders of magnitude slower than ND-PVOT. Every
+// column pins its engine; the run fails if the fast path answered one.
 
 #include <iostream>
 #include <vector>
@@ -51,6 +52,7 @@ int main() {
       opts.k = 2;
       nd_bas = TablePrinter::FormatDouble(
           TimeCensus(graph, pattern, focal, opts, &stats), 2);
+      RequireGenericEngine(stats, "ND-BAS");
     }
     std::vector<std::string> cells;
     std::uint64_t matches = 0;
@@ -60,6 +62,7 @@ int main() {
       opts.k = 2;
       opts.center_index = &index;
       double seconds = TimeCensus(graph, pattern, focal, opts, &stats);
+      RequireGenericEngine(stats, CensusAlgorithmName(algorithm));
       matches = stats.num_matches;
       cells.push_back(TablePrinter::FormatDouble(seconds, 2) + " (" +
                       TablePrinter::FormatDouble(

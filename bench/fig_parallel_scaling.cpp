@@ -82,6 +82,7 @@ void RunWorkload(const std::string& figure, const Graph& graph,
         std::cerr << "census failed: " << result.status().ToString() << "\n";
         std::exit(1);
       }
+      RequireGenericEngine(result->stats, spec.name);
       matches = result->stats.num_matches;
       seconds.push_back(secs);
       speedup.push_back(seconds.front() / secs);

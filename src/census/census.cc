@@ -8,6 +8,7 @@
 #include "census/approx.h"
 #include "census/engines.h"
 #include "census/fastpath/fastpath.h"
+#include "census/planner.h"
 #include "census/pmi.h"
 #include "match/cn_matcher.h"
 #include "match/gql_matcher.h"
@@ -20,6 +21,8 @@ namespace egocensus {
 
 const char* CensusAlgorithmName(CensusAlgorithm algorithm) {
   switch (algorithm) {
+    case CensusAlgorithm::kAuto:
+      return "AUTO";
     case CensusAlgorithm::kNdBas:
       return "ND-BAS";
     case CensusAlgorithm::kNdPvot:
@@ -32,6 +35,26 @@ const char* CensusAlgorithmName(CensusAlgorithm algorithm) {
       return "PT-OPT";
     case CensusAlgorithm::kPtRnd:
       return "PT-RND";
+  }
+  return "?";
+}
+
+const char* CensusAlgorithmFlag(CensusAlgorithm algorithm) {
+  switch (algorithm) {
+    case CensusAlgorithm::kAuto:
+      return "auto";
+    case CensusAlgorithm::kNdBas:
+      return "nd-bas";
+    case CensusAlgorithm::kNdPvot:
+      return "nd-pvot";
+    case CensusAlgorithm::kNdDiff:
+      return "nd-diff";
+    case CensusAlgorithm::kPtBas:
+      return "pt-bas";
+    case CensusAlgorithm::kPtOpt:
+      return "pt-opt";
+    case CensusAlgorithm::kPtRnd:
+      return "pt-rnd";
   }
   return "?";
 }
@@ -75,6 +98,7 @@ void InitFocalState(const CensusContext& ctx, CensusResult* result) {
 void MarkAllFocal(const CensusContext& ctx, CensusResult* result,
                   FocalState state) {
   // egolint: no-checkpoint(O(|focal|) state-flag stores, no match work)
+  for (NodeId n : ctx.focal) result->focal_state[n] = state;
 }
 
 void FinishExecStatus(const CensusContext& ctx, const char* engine,
@@ -138,33 +162,47 @@ MatchSet FindMatchesTimed(const CensusContext& ctx, CensusStats* stats,
   ctx.anchor_nodes = std::move(anchors).value();
   ctx.options = &options;
 
-  // Fast-path routing (docs/FAST_PATH.md): eligible <= 4-node censuses go
-  // to the combinatorial kernels instead of options.algorithm. The
-  // decision is observable (routed-vs-generic counters, per-shape and
-  // per-reason breakdowns) so operators can audit hit rates.
-  internal::FastPathDecision route;
-  if (options.fast_path == FastPathMode::kOff) {
-    route.reject_reason = "fast path off";
+  // Engine resolution, the one place it happens: kForce runs the fast path
+  // whatever the algorithm, kAuto asks the planner (census/planner.h), and
+  // any other algorithm runs exactly that engine. The decision is
+  // observable (routed-vs-generic counters, per-shape and per-reason
+  // breakdowns, per-engine plan counters).
+  Plan plan;
+  if (options.fast_path == FastPathMode::kForce) {
+    internal::FastPathDecision route =
+        internal::DecideFastPath(graph, pattern, options);
+    if (!route.routed) {
+      return Status::InvalidArgument(
+          std::string("fast-path forced but census is ineligible: ") +
+          route.reject_reason);
+    }
+    plan.engine = PlanEngine::kFastPath;
+    plan.shape = route.shape;
+  } else if (options.algorithm == CensusAlgorithm::kAuto) {
+    EGO_SPAN("census/plan");
+    plan = ChoosePlan(graph, pattern, focal, options);
   } else {
-    route = internal::DecideFastPath(graph, pattern, options);
+    plan.fast_path_skip = options.fast_path == FastPathMode::kOff
+                              ? "fast path off"
+                              : "explicit algorithm";
   }
-  if (!route.routed && options.fast_path == FastPathMode::kForce) {
-    return Status::InvalidArgument(
-        std::string("fast-path forced but census is ineligible: ") +
-        route.reject_reason);
-  }
+  const bool fast = plan.engine == PlanEngine::kFastPath;
+  const CensusAlgorithm algorithm =
+      options.algorithm == CensusAlgorithm::kAuto ? plan.algorithm()
+                                                  : options.algorithm;
+  const char* plan_name = fast ? PlanEngineName(PlanEngine::kFastPath)
+                               : CensusAlgorithmFlag(algorithm);
   if (obs::Enabled()) {
-    if (route.routed) {
+    obs::CounterAdd(std::string("census/plan/") + plan_name, 1);
+    if (fast) {
       obs::CounterAdd("census/fastpath/routed", 1);
       obs::CounterAdd(
-          std::string("census/fastpath/shape/") + ShapeName(route.shape.id),
-          1);
+          std::string("census/fastpath/shape/") + ShapeName(plan.shape.id), 1);
       obs::HistogramRecord("census/fastpath/routed_focal", focal.size());
     } else {
       obs::CounterAdd("census/fastpath/generic", 1);
-      obs::CounterAdd(std::string("census/fastpath/skip/") +
-                          route.reject_reason,
-                      1);
+      obs::CounterAdd(
+          std::string("census/fastpath/skip/") + plan.fast_path_skip, 1);
     }
   }
 
@@ -182,6 +220,7 @@ MatchSet FindMatchesTimed(const CensusContext& ctx, CensusStats* stats,
 
   EGO_SPAN("census/run", focal.size());
   auto finish = [&](CensusResult result) -> Result<CensusResult> {
+    result.plan = plan_name;
     result.stats.threads_used = num_threads;
     result.stats.pattern_nodes =
         static_cast<std::uint32_t>(pattern.NumNodes());
@@ -230,8 +269,8 @@ MatchSet FindMatchesTimed(const CensusContext& ctx, CensusStats* stats,
       // exporters see the same numbers CensusStats reports.
       const std::string prefix =
           "census/" +
-          (route.routed ? std::string("fastpath")
-                        : ToLower(CensusAlgorithmName(options.algorithm))) +
+          (fast ? std::string("fastpath")
+                : ToLower(CensusAlgorithmName(algorithm))) +
           "/";
       const CensusStats& s = result.stats;
       obs::CounterAdd(prefix + "runs", 1);
@@ -244,12 +283,14 @@ MatchSet FindMatchesTimed(const CensusContext& ctx, CensusStats* stats,
     }
     return result;
   };
-  if (route.routed) {
-    CensusResult fast = internal::RunFastPath(ctx, route.shape);
-    fast.stats.fastpath_routed = 1;
-    return finish(std::move(fast));
+  if (fast) {
+    CensusResult result = internal::RunFastPath(ctx, plan.shape);
+    result.stats.fastpath_routed = 1;
+    return finish(std::move(result));
   }
-  switch (options.algorithm) {
+  switch (algorithm) {
+    case CensusAlgorithm::kAuto:
+      break;  // resolved above
     case CensusAlgorithm::kNdBas:
       return finish(internal::RunNdBas(ctx));
     case CensusAlgorithm::kNdPvot:

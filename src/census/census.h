@@ -15,8 +15,11 @@
 
 namespace egocensus {
 
-/// The six query evaluation algorithms of Sections IV and V.
+/// The six query evaluation algorithms of Sections IV and V, plus kAuto:
+/// let the cost-based planner (census/planner.h) choose among the fast
+/// path, ND-BAS, ND-PVOT and PT-BAS for each census.
 enum class CensusAlgorithm {
+  kAuto,    // planner's choice, resolved inside RunCensus
   kNdBas,   // node-driven baseline: extract S(n,k), match inside
   kNdPvot,  // node-driven pivot indexing (Algorithm 2)
   kNdDiff,  // node-driven differential counting (Algorithm 3)
@@ -27,12 +30,16 @@ enum class CensusAlgorithm {
 
 const char* CensusAlgorithmName(CensusAlgorithm algorithm);
 
+/// Lower-case name as the CLI and the wire spell it ("auto", "nd-bas", ...).
+const char* CensusAlgorithmFlag(CensusAlgorithm algorithm);
+
 /// Routing of the combinatorial fast path for <= 4-node unlabeled patterns
-/// (src/census/fastpath/, docs/FAST_PATH.md). kAuto routes eligible
-/// censuses to the closed-form kernels (counts stay bit-identical to the
-/// generic engines; stats.num_matches is 0 because no matcher runs);
-/// kForce errors with InvalidArgument when the census is ineligible;
-/// kOff always dispatches CensusOptions::algorithm.
+/// (src/census/fastpath/, docs/FAST_PATH.md). Counts stay bit-identical to
+/// the generic engines; stats.num_matches is 0 because no matcher runs.
+/// kAuto lets the planner pick the fast path when the algorithm is kAuto
+/// and the census is eligible; kForce runs the fast path whatever the
+/// algorithm and errors with InvalidArgument when the census is
+/// ineligible; kOff never runs it.
 enum class FastPathMode : std::uint8_t { kAuto = 0, kForce, kOff };
 
 const char* FastPathModeName(FastPathMode mode);
@@ -46,10 +53,11 @@ enum class ClusteringMode {
 };
 
 struct CensusOptions {
-  CensusAlgorithm algorithm = CensusAlgorithm::kNdPvot;
+  /// kAuto (default) lets the planner choose; any other value runs exactly
+  /// that engine.
+  CensusAlgorithm algorithm = CensusAlgorithm::kAuto;
 
-  /// Combinatorial fast-path routing (see FastPathMode). `algorithm` is
-  /// the engine used when the fast path does not take the census.
+  /// Combinatorial fast-path routing (see FastPathMode).
   FastPathMode fast_path = FastPathMode::kAuto;
 
   /// Neighborhood radius k of SUBGRAPH(ID, k).
@@ -219,6 +227,10 @@ struct CensusResult {
   /// hold the partial result — RunCensus returns the partial result as a
   /// value, not as an error, so callers keep what was computed).
   Status exec_status;
+
+  /// The engine that answered, as the CLI spells it: "fastpath" or an
+  /// algorithm ("nd-bas", ...). Under kAuto this is the planner's choice.
+  const char* plan = "";
 
   bool complete() const { return exec_status.ok(); }
 };

@@ -10,27 +10,15 @@ NodeId Graph::AddNode(Label label) {
   if (finalized_) return kInvalidNode;
   labels_.push_back(label);
   max_label_ = std::max(max_label_, label);
-  // Recycle a stale adjacency row (left behind by Reset) when available so
-  // repeated populate/finalize cycles keep the rows' capacity.
-  if (build_out_.size() <= num_nodes_) {
-    build_out_.emplace_back();
-  } else {
-    build_out_[num_nodes_].clear();
-  }
-  if (directed_) {
-    if (build_in_.size() <= num_nodes_) {
-      build_in_.emplace_back();
-    } else {
-      build_in_[num_nodes_].clear();
-    }
-  }
   return num_nodes_++;
 }
 
 NodeId Graph::AddNodes(std::uint32_t count, Label label) {
   if (finalized_) return kInvalidNode;
   NodeId first = num_nodes_;
-  for (std::uint32_t i = 0; i < count; ++i) AddNode(label);
+  labels_.resize(labels_.size() + count, label);
+  if (count > 0) max_label_ = std::max(max_label_, label);
+  num_nodes_ += count;
   return first;
 }
 
@@ -39,13 +27,12 @@ EdgeId Graph::AddEdge(NodeId u, NodeId v) {
   if (u == v || u >= num_nodes_ || v >= num_nodes_) return kInvalidEdge;
   EdgeId id = static_cast<EdgeId>(edges_.size());
   edges_.emplace_back(u, v);
-  build_out_[u].emplace_back(v, id);
-  if (directed_) {
-    build_in_[v].emplace_back(u, id);
-  } else {
-    build_out_[v].emplace_back(u, id);
-  }
   return id;
+}
+
+void Graph::Reserve(std::uint32_t num_nodes, std::uint64_t num_edges) {
+  labels_.reserve(num_nodes);
+  edges_.reserve(num_edges);
 }
 
 Status Graph::SetLabel(NodeId n, Label label) {
@@ -58,59 +45,87 @@ Status Graph::SetLabel(NodeId n, Label label) {
   return Status::Ok();
 }
 
-void Graph::BuildCsr(
-    std::uint32_t num_nodes,
-    std::vector<std::vector<std::pair<NodeId, EdgeId>>>* adj, bool dedup,
-    Csr* out) {
-  out->offsets.assign(num_nodes + 1, 0);
-  out->targets.clear();
-  out->edge_ids.clear();
-  std::size_t total = 0;
-  for (std::uint32_t n = 0; n < num_nodes; ++n) {
-    auto& list = (*adj)[n];
-    std::sort(list.begin(), list.end());
-    if (dedup) {
-      list.erase(std::unique(list.begin(), list.end(),
-                             [](const auto& a, const auto& b) {
-                               return a.first == b.first;
-                             }),
-                 list.end());
-    }
-    total += list.size();
+bool Graph::BuildCsr(ArcMode mode, bool dedup, Csr* out) {
+  const std::uint32_t n = num_nodes_;
+  const bool forward = mode != ArcMode::kBackward;
+  const bool backward = mode != ArcMode::kForward;
+
+  // Pass 1: bucket the arcs by target, in edge-id order (a stable counting
+  // sort, so equal targets keep ascending edge ids).
+  std::vector<std::uint32_t>& bucket_end = cursor_scratch_;
+  bucket_end.assign(n + 1, 0);
+  for (const auto& [u, v] : edges_) {
+    if (forward) ++bucket_end[v + 1];
+    if (backward) ++bucket_end[u + 1];
   }
-  out->targets.reserve(total);
-  out->edge_ids.reserve(total);
-  for (std::uint32_t n = 0; n < num_nodes; ++n) {
-    out->offsets[n] = static_cast<std::uint32_t>(out->targets.size());
-    for (const auto& [nbr, eid] : (*adj)[n]) {
-      out->targets.push_back(nbr);
-      out->edge_ids.push_back(eid);
+  for (std::uint32_t t = 0; t < n; ++t) bucket_end[t + 1] += bucket_end[t];
+  const std::size_t total = bucket_end[n];
+  arc_scratch_.resize(total);
+  for (EdgeId e = 0; e < edges_.size(); ++e) {
+    const auto [u, v] = edges_[e];
+    if (forward) arc_scratch_[bucket_end[v]++] = {u, e};
+    if (backward) arc_scratch_[bucket_end[u]++] = {v, e};
+  }
+  // bucket_end[t] is now the end of bucket t (its start is bucket_end[t-1]).
+
+  // Pass 2: stable counting sort by source, walking buckets in target
+  // order, so every row comes out sorted by (target, edge id).
+  out->offsets.assign(n + 1, 0);
+  for (const auto& arc : arc_scratch_) ++out->offsets[arc.first + 1];
+  for (std::uint32_t r = 0; r < n; ++r) out->offsets[r + 1] += out->offsets[r];
+  out->targets.resize(total);
+  out->edge_ids.resize(total);
+  std::size_t begin = 0;
+  for (NodeId t = 0; t < n; ++t) {
+    for (std::size_t i = begin; i < bucket_end[t]; ++i) {
+      const auto [src, eid] = arc_scratch_[i];
+      const std::uint32_t pos = out->offsets[src]++;
+      out->targets[pos] = t;
+      out->edge_ids[pos] = eid;
+    }
+    begin = bucket_end[t];
+  }
+  // The fill advanced each row's offset to its end: shift back by one row.
+  for (std::uint32_t r = n; r > 0; --r) out->offsets[r] = out->offsets[r - 1];
+  out->offsets[0] = 0;
+
+  bool repeated = false;
+  std::size_t write = 0;
+  for (std::uint32_t r = 0; r < n; ++r) {
+    const std::size_t row_begin = out->offsets[r];
+    const std::size_t row_end = out->offsets[r + 1];
+    out->offsets[r] = static_cast<std::uint32_t>(write);
+    for (std::size_t i = row_begin; i < row_end; ++i) {
+      const bool same = i > row_begin &&
+                        out->targets[i] == out->targets[i - 1];
+      repeated = repeated || same;
+      if (dedup && same) continue;
+      out->targets[write] = out->targets[i];
+      out->edge_ids[write] = out->edge_ids[i];
+      ++write;
     }
   }
-  out->offsets[num_nodes] = static_cast<std::uint32_t>(out->targets.size());
+  out->offsets[n] = static_cast<std::uint32_t>(write);
+  out->targets.resize(write);
+  out->edge_ids.resize(write);
+  return repeated;
 }
 
 Status Graph::Finalize(bool release_build_buffers) {
   if (finalized_) {
     return Status::InvalidArgument("Finalize: graph is already finalized");
   }
-  BuildCsr(num_nodes_, &build_out_, /*dedup=*/false, &out_);
   if (directed_) {
-    BuildCsr(num_nodes_, &build_in_, /*dedup=*/false, &in_);
-    // Combined undirected view: merge of in and out, deduplicated.
-    std::vector<std::vector<std::pair<NodeId, EdgeId>>> comb(num_nodes_);
-    for (NodeId n = 0; n < num_nodes_; ++n) {
-      comb[n].reserve(build_out_[n].size() + build_in_[n].size());
-      for (const auto& p : build_out_[n]) comb[n].push_back(p);
-      for (const auto& p : build_in_[n]) comb[n].push_back(p);
-    }
-    BuildCsr(num_nodes_, &comb, /*dedup=*/true, &combined_);
+    has_parallel_edges_ = BuildCsr(ArcMode::kForward, /*dedup=*/false, &out_);
+    BuildCsr(ArcMode::kBackward, /*dedup=*/false, &in_);
+    // Combined undirected view: both arcs of every edge, deduplicated.
+    BuildCsr(ArcMode::kBoth, /*dedup=*/true, &combined_);
+  } else {
+    has_parallel_edges_ = BuildCsr(ArcMode::kBoth, /*dedup=*/false, &out_);
   }
   if (release_build_buffers) {
-    build_out_.clear();
-    build_out_.shrink_to_fit();
-    build_in_.clear();
-    build_in_.shrink_to_fit();
+    arc_scratch_ = {};
+    cursor_scratch_ = {};
   }
   finalized_ = true;
   return Status::Ok();
@@ -119,13 +134,14 @@ Status Graph::Finalize(bool release_build_buffers) {
 void Graph::Reset(bool directed) {
   directed_ = directed;
   finalized_ = false;
+  has_parallel_edges_ = false;
   num_nodes_ = 0;
   max_label_ = 0;
   labels_.clear();
   edges_.clear();
-  // build_out_/build_in_ rows are kept and recycled lazily by AddNode; the
-  // CSR vectors are rebuilt in place by the next Finalize. Stale CSR reads
-  // are impossible because every accessor asserts finalized_.
+  // The CSR vectors and the build scratch are rebuilt in place by the next
+  // Finalize. Stale CSR reads are impossible because every accessor
+  // asserts finalized_.
   node_attributes_.Clear();
   edge_attributes_.Clear();
 }

@@ -60,20 +60,23 @@ class Graph {
   /// Overrides the label of a node. Only valid before Finalize().
   [[nodiscard]] Status SetLabel(NodeId n, Label label);
 
-  /// Sorts adjacency lists, flattens to CSR, and freezes the topology.
-  /// Calling Finalize() twice returns an error and leaves the graph intact.
-  /// `release_build_buffers` (default) frees the build-phase adjacency;
-  /// graph objects recycled through Reset() pass false so the per-node
-  /// buffers keep their capacity across populate/finalize cycles.
+  /// Flattens the edge list to CSR with sorted neighbor rows and freezes
+  /// the topology. Calling Finalize() twice returns an error and leaves the
+  /// graph intact. `release_build_buffers` (default) frees the build
+  /// scratch; graph objects recycled through Reset() pass false so the
+  /// scratch keeps its capacity across populate/finalize cycles.
   [[nodiscard]] Status Finalize(bool release_build_buffers = true);
 
   /// Returns the graph to the empty, un-finalized state while keeping
-  /// every allocated buffer (labels, edge list, CSR arrays, and — when the
-  /// previous Finalize was called with release_build_buffers=false — the
-  /// build-phase adjacency rows). This is the scratch-reuse path behind
+  /// every allocated buffer (labels, edge list, CSR arrays and build
+  /// scratch). This is the scratch-reuse path behind
   /// SubgraphExtractor::ExtractInto: repeated neighborhood extraction
   /// allocates only when a neighborhood outgrows every previous one.
   void Reset(bool directed);
+
+  /// Pre-sizes the node and edge storage (bulk loaders that know the
+  /// counts up front).
+  void Reserve(std::uint32_t num_nodes, std::uint64_t num_edges);
 
   // --- Topology accessors (require Finalize()) ------------------------
 
@@ -105,6 +108,12 @@ class Graph {
   /// Undirected view: union of in- and out-neighbors, sorted, deduplicated.
   /// This is the N(x) used for k-hop neighborhood expansion.
   std::span<const NodeId> Neighbors(NodeId n) const;
+
+  /// True when some node has two edges to the same target (AddEdge does not
+  /// deduplicate). Recorded once by Finalize() from the sorted rows, so
+  /// callers that need simple adjacency (the fast-path kernels) test a flag
+  /// instead of rescanning the CSR.
+  bool has_parallel_edges() const { return has_parallel_edges_; }
 
   /// Degree in the undirected view (|Neighbors(n)|).
   std::uint32_t Degree(NodeId n) const {
@@ -143,24 +152,29 @@ class Graph {
     }
   };
 
-  /// Flattens rows [0, num_nodes) of `adj` into `out`, reusing out's
-  /// buffers. Rows of `adj` beyond num_nodes (stale scratch from a larger
-  /// previous build) are ignored.
-  static void BuildCsr(std::uint32_t num_nodes,
-                       std::vector<std::vector<std::pair<NodeId, EdgeId>>>* adj,
-                       bool dedup, Csr* out);
+  /// Which arcs of each edge (u, v) a CSR holds: u->v only (directed
+  /// out), v->u only (directed in), or both (undirected / combined view).
+  enum class ArcMode : std::uint8_t { kForward, kBackward, kBoth };
+
+  /// Counting-sorts the arcs of edges_ into `out`, rows ordered by (target,
+  /// edge id), reusing out's buffers. `dedup` keeps one arc per target (the
+  /// smallest edge id). Returns true when a row repeated a target before
+  /// dedup.
+  bool BuildCsr(ArcMode mode, bool dedup, Csr* out);
 
   bool directed_;
   bool finalized_ = false;
+  bool has_parallel_edges_ = false;
   std::uint32_t num_nodes_ = 0;
   Label max_label_ = 0;
 
   std::vector<Label> labels_;
   std::vector<std::pair<NodeId, NodeId>> edges_;
 
-  // Build-phase adjacency; cleared by Finalize().
-  std::vector<std::vector<std::pair<NodeId, EdgeId>>> build_out_;
-  std::vector<std::vector<std::pair<NodeId, EdgeId>>> build_in_;
+  // Finalize() scratch: arcs bucketed by target (source, edge id) and the
+  // bucket cursors.
+  std::vector<std::pair<NodeId, EdgeId>> arc_scratch_;
+  std::vector<std::uint32_t> cursor_scratch_;
 
   // Finalized CSR adjacency.
   Csr out_;

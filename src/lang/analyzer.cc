@@ -109,7 +109,7 @@ const Pattern* ResolvePattern(const Query& query,
                                        "' in SUBGRAPH");
       }
     }
-    analyzed.counts.push_back({i, pattern, &spec, AnalyzeShape(*pattern)});
+    analyzed.counts.push_back({i, pattern, &spec});
   }
   Status s = ValidateWhere(query, query.where.get());
   if (!s.ok()) return s;

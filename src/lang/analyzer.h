@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "lang/ast.h"
-#include "pattern/shape.h"
+#include "pattern/pattern.h"
 #include "util/status.h"
 
 namespace egocensus {
@@ -20,10 +20,6 @@ struct AnalyzedQuery {
     std::size_t select_index = 0;  // position in query->select
     const Pattern* pattern = nullptr;
     const CountSpec* spec = nullptr;
-    /// Combinatorial classification of the pattern (docs/FAST_PATH.md).
-    /// Lets the execution layer anticipate fast-path routing — e.g. skip
-    /// building PT center indexes an eligible aggregate will never use.
-    PatternShape shape;
   };
   std::vector<CountItem> counts;
 };

@@ -10,15 +10,6 @@
 namespace egocensus {
 namespace {
 
-/// Selective patterns (label constraints or predicates) favor the
-/// pattern-driven evaluator; non-selective patterns favor ND-PVOT.
-bool PatternIsSelective(const Pattern& pattern) {
-  for (int v = 0; v < pattern.NumNodes(); ++v) {
-    if (pattern.LabelConstraint(v).has_value()) return true;
-  }
-  return !pattern.Predicates().empty();
-}
-
 std::vector<std::string> ColumnNames(const Query& query) {
   std::vector<std::string> names;
   for (const auto& item : query.select) {
@@ -48,26 +39,21 @@ Result<ResultTable> QueryEngine::Execute(std::string_view query_text,
 GraphIndexes GraphIndexes::Build(const Graph& graph) {
   GraphIndexes indexes;
   indexes.profiles = ProfileIndex::Build(graph);
-  indexes.centers = CenterDistanceIndex::Build(
-      graph, PickHighestDegreeCenters(graph, 24));
   return indexes;
 }
 
-const ProfileIndex& QueryEngine::CachedProfiles() {
-  if (shared_indexes_ != nullptr) return shared_indexes_->profiles;
-  if (!profiles_cache_.has_value()) {
-    profiles_cache_ = ProfileIndex::Build(graph_);
-  }
-  return *profiles_cache_;
+const CenterDistanceIndex& GraphIndexes::Centers(const Graph& graph) const {
+  std::call_once(centers_->once, [&] {
+    centers_->index = CenterDistanceIndex::Build(
+        graph, PickHighestDegreeCenters(graph, 24));
+  });
+  return centers_->index;
 }
 
-const CenterDistanceIndex& QueryEngine::CachedCenters() {
-  if (shared_indexes_ != nullptr) return shared_indexes_->centers;
-  if (!centers_cache_.has_value()) {
-    centers_cache_ = CenterDistanceIndex::Build(
-        graph_, PickHighestDegreeCenters(graph_, 24));
-  }
-  return *centers_cache_;
+const GraphIndexes& QueryEngine::Indexes() {
+  if (shared_indexes_ != nullptr) return *shared_indexes_;
+  if (!own_indexes_.has_value()) own_indexes_ = GraphIndexes::Build(graph_);
+  return *own_indexes_;
 }
 
 Result<ResultTable> QueryEngine::ExecuteParsed(const Query& query,
@@ -114,34 +100,23 @@ Result<ResultTable> QueryEngine::ExecuteSingle(const AnalyzedQuery& analyzed,
     census.k = item.spec->neighborhood.k;
     census.subpattern =
         item.spec->count_subpattern ? item.spec->subpattern : "";
-    if (options.auto_algorithm) {
-      census.algorithm = PatternIsSelective(*item.pattern)
-                             ? CensusAlgorithm::kPtOpt
-                             : CensusAlgorithm::kNdPvot;
-    }
-    // An aggregate bound for the combinatorial fast path never touches the
-    // PT center index, so don't pay its first-query build for one. The
-    // pattern/option checks here mirror DecideFastPath; the graph-level
-    // parallel-edge check is deliberately omitted (a multigraph falls back
-    // to the generic engine, which then builds its own index inline).
-    const bool fastpath_likely = census.fast_path != FastPathMode::kOff &&
-                                 item.shape.eligible() &&
-                                 census.subpattern.empty() &&
-                                 !census.use_gql_matcher && !graph_.directed();
-    // Share the engine's per-graph indexes across queries.
+    if (options.auto_algorithm) census.algorithm = CensusAlgorithm::kAuto;
+    // Share the engine's per-graph indexes across queries. Only the
+    // explicit PT-OPT/PT-RND engines read the center index.
     if (census.profile_index == nullptr) {
-      census.profile_index = &CachedProfiles();
+      census.profile_index = &Indexes().profiles;
     }
-    if (census.center_index == nullptr && !fastpath_likely &&
+    if (census.center_index == nullptr &&
         (census.algorithm == CensusAlgorithm::kPtOpt ||
          census.algorithm == CensusAlgorithm::kPtRnd)) {
-      census.center_index = &CachedCenters();
+      census.center_index = &Indexes().Centers(graph_);
     }
     auto result = RunCensus(graph_, *item.pattern, focal, census);
     if (!result.ok()) return result.status();
     last_stats_.push_back(result->stats);
     AggregateExec exec;
     exec.status = result->exec_status;
+    exec.plan = result->plan;
     for (NodeId n : focal) {
       switch (result->focal_state[n]) {
         case FocalState::kComplete: ++exec.complete; break;
@@ -208,7 +183,7 @@ Result<ResultTable> QueryEngine::ExecutePairwise(const AnalyzedQuery& analyzed,
             ? PairNeighborhood::kIntersection
             : PairNeighborhood::kUnion;
     if (pairwise.center_index == nullptr) {
-      pairwise.center_index = &CachedCenters();
+      pairwise.center_index = &Indexes().Centers(graph_);
     }
     auto counts = RunPairwisePtOpt(graph_, *item.pattern, pairwise);
     if (!counts.ok()) return counts.status();

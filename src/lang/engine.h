@@ -1,6 +1,8 @@
 #ifndef EGOCENSUS_LANG_ENGINE_H_
 #define EGOCENSUS_LANG_ENGINE_H_
 
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -19,27 +21,39 @@ namespace egocensus {
 
 /// The expensive per-graph indexes a QueryEngine consults: the node profile
 /// index (matcher candidate filtering) and the 24-degree-center distance
-/// index (PT-OPT seeding/clustering). Building them costs O(V + C*(V+E));
-/// a long-running service builds them once per resident graph and hands a
+/// index (PT-OPT/PT-RND seeding and clustering, pairwise censuses). A
+/// long-running service builds them once per resident graph and hands a
 /// const pointer to every per-request engine, so concurrent requests share
 /// the indexes without sharing any mutable engine state (the daemon's
-/// re-entrancy model, docs/SERVER.md). Immutable after Build.
-struct GraphIndexes {
+/// re-entrancy model, docs/SERVER.md).
+///
+/// The center index costs O(C * (V + E)) and only the explicitly requested
+/// PT-OPT/PT-RND engines and pairwise censuses read it, so it is built on
+/// first use, once, under a guard that concurrent readers may race on.
+class GraphIndexes {
+ public:
   ProfileIndex profiles;
-  CenterDistanceIndex centers;
 
   static GraphIndexes Build(const Graph& graph);
+
+  /// The center index over `graph`, which must be the graph these indexes
+  /// were built for; built by the first caller. Thread-safe.
+  const CenterDistanceIndex& Centers(const Graph& graph) const;
+
+ private:
+  struct LazyCenters {
+    std::once_flag once;
+    CenterDistanceIndex index;
+  };
+  std::unique_ptr<LazyCenters> centers_ = std::make_unique<LazyCenters>();
 };
 
 /// Executes pattern census queries against a graph: parse -> analyze ->
-/// plan (algorithm selection) -> evaluate.
-///
-/// Planning: with `auto_algorithm` (default) single-node censuses use
-/// PT-OPT when the pattern carries label constraints or predicates (the
-/// selective case where pattern-driven wins in Fig. 4(d)) and ND-PVOT
-/// otherwise (the non-selective case of Fig. 4(c)); pairwise censuses
-/// always use the pattern-driven evaluator. Setting auto_algorithm=false
-/// uses census_options.algorithm verbatim.
+/// evaluate. Single-node censuses run census_options.algorithm; under
+/// CensusAlgorithm::kAuto (what `auto_algorithm`, the default, selects)
+/// RunCensus's cost-based planner picks the engine per aggregate
+/// (census/planner.h) and last_exec() reports the choice. Pairwise
+/// censuses always use the pattern-driven evaluator.
 ///
 /// Pairwise result contract: rows are emitted only for ordered pairs
 /// (n1, n2), n1 != n2, with a nonzero count for at least one aggregate that
@@ -67,6 +81,8 @@ class QueryEngine {
   struct Options {
     CensusOptions census;
     PairwiseCensusOptions pairwise;
+    /// True runs every census under CensusAlgorithm::kAuto whatever
+    /// census.algorithm says; false runs census.algorithm verbatim.
     bool auto_algorithm = true;
     /// Seed for WHERE RND() draws (deterministic per node scan order).
     std::uint64_t rnd_seed = 99;
@@ -81,6 +97,7 @@ class QueryEngine {
     std::uint64_t complete = 0;  // focal nodes with exact counts
     std::uint64_t approx = 0;    // focal nodes with degraded estimates
     std::uint64_t pending = 0;   // focal nodes with lower-bound counts
+    const char* plan = "";       // engine that answered (CensusResult::plan)
     bool interrupted() const { return !status.ok(); }
   };
 
@@ -118,19 +135,16 @@ class QueryEngine {
   [[nodiscard]] Result<ResultTable> ExecutePairwise(const AnalyzedQuery& analyzed,
                                       const Options& options);
 
-  /// Lazily built per-graph indexes, shared across queries on this engine:
-  /// the node profile index (matcher candidate filtering) and a
-  /// 24-degree-center distance index (PT-OPT seeding/clustering).
-  const ProfileIndex& CachedProfiles();
-  const CenterDistanceIndex& CachedCenters();
+  /// The per-graph indexes: the shared ones, or this engine's own, built
+  /// on first use and kept across its queries.
+  const GraphIndexes& Indexes();
 
   const Graph& graph_;
   const GraphIndexes* shared_indexes_ = nullptr;
   std::vector<Pattern> registered_;
   std::vector<CensusStats> last_stats_;
   std::vector<AggregateExec> last_exec_;
-  std::optional<ProfileIndex> profiles_cache_;
-  std::optional<CenterDistanceIndex> centers_cache_;
+  std::optional<GraphIndexes> own_indexes_;
 };
 
 }  // namespace egocensus

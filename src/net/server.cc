@@ -1,6 +1,7 @@
 #include "net/server.h"
 
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -12,6 +13,7 @@
 #include "dynamic/update_stream.h"
 #include "exec/governor.h"
 #include "lang/engine.h"
+#include "lang/query_options.h"
 #include "obs/log.h"
 #include "obs/obs.h"
 #include "util/build_info.h"
@@ -49,18 +51,27 @@ std::uint64_t PayloadBytes(const Message& message) {
 /// the request's governor at the next cooperative checkpoint. Polls with
 /// POLLRDHUP (half-close detection) plus a zero-byte MSG_PEEK probe on
 /// POLLIN so pipelined request bytes are not mistaken for a disconnect.
+/// The poll has no timeout: the destructor wakes the thread through an
+/// eventfd, so the request's response is never held back by a poll tick.
 class DisconnectWatcher {
  public:
-  DisconnectWatcher(int fd, Governor* governor, int poll_ms,
+  DisconnectWatcher(int fd, Governor* governor,
                     std::atomic<std::uint64_t>* cancel_counter)
-      : fd_(fd), governor_(governor), poll_ms_(poll_ms),
-        cancel_counter_(cancel_counter) {
-    thread_ = std::thread([this] { Loop(); });
+      : fd_(fd), governor_(governor), cancel_counter_(cancel_counter),
+        wake_fd_(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK)) {
+    // Without a wake descriptor the thread could not be stopped promptly;
+    // the request then runs unwatched (cancel-on-hangup is best effort).
+    if (wake_fd_ >= 0) thread_ = std::thread([this] { Loop(); });
   }
 
   ~DisconnectWatcher() {
-    stop_.store(true, std::memory_order_relaxed);
+    if (wake_fd_ < 0) return;
+    const std::uint64_t one = 1;
+    // A failed write leaves the counter non-zero or the thread already
+    // gone; either way the join below returns.
+    [[maybe_unused]] ssize_t written = ::write(wake_fd_, &one, sizeof(one));
     thread_.join();
+    ::close(wake_fd_);
   }
 
   DisconnectWatcher(const DisconnectWatcher&) = delete;
@@ -68,28 +79,29 @@ class DisconnectWatcher {
 
  private:
   void Loop() {
-    while (!stop_.load(std::memory_order_relaxed)) {
-      pollfd pfd{fd_, POLLIN | POLLRDHUP, 0};
-      int rc = ::poll(&pfd, 1, poll_ms_);
+    // After pipelined bytes arrive, POLLIN would fire forever; the watch
+    // then narrows to hangups only.
+    short client_events = POLLIN | POLLRDHUP;
+    for (;;) {
+      pollfd pfds[2] = {{fd_, client_events, 0}, {wake_fd_, POLLIN, 0}};
+      int rc = ::poll(pfds, 2, -1);
       if (rc < 0) continue;  // EINTR: retry
-      if (rc == 0) continue;  // tick: re-check stop flag
-      if ((pfd.revents & (POLLRDHUP | POLLHUP | POLLERR | POLLNVAL)) != 0) {
+      if (pfds[1].revents != 0) return;  // request finished
+      const short revents = pfds[0].revents;
+      if ((revents & (POLLRDHUP | POLLHUP | POLLERR | POLLNVAL)) != 0) {
         Cancel();
         return;
       }
-      if ((pfd.revents & POLLIN) != 0) {
+      if ((revents & POLLIN) != 0) {
         char probe;
         ssize_t n = ::recv(fd_, &probe, 1, MSG_PEEK | MSG_DONTWAIT);
         if (n == 0) {  // orderly EOF
           Cancel();
           return;
         }
-        // n > 0: the client pipelined its next request; keep watching but
-        // back off to plain hangup polling (POLLIN would spin otherwise).
-        if (n > 0) {
-          pollfd hup{fd_, POLLRDHUP, 0};
-          ::poll(&hup, 1, poll_ms_);
-        }
+        // n > 0: the client pipelined its next request; keep watching for
+        // hangups only.
+        if (n > 0) client_events = POLLRDHUP;
       }
     }
   }
@@ -101,9 +113,8 @@ class DisconnectWatcher {
 
   int fd_;
   Governor* governor_;
-  int poll_ms_;
   std::atomic<std::uint64_t>* cancel_counter_;
-  std::atomic<bool> stop_{false};
+  int wake_fd_;
   std::thread thread_;
 };
 
@@ -120,67 +131,6 @@ class QueueSlot {
  private:
   FairRequestQueue* queue_;
 };
-
-/// Parses the census-shaping headers shared by the CLI and the wire
-/// protocol into QueryEngine options. Returns the first invalid header as
-/// a status.
-[[nodiscard]] Status QueryOptionsFromHeaders(const Message& request,
-                                             QueryEngine::Options* options) {
-  options->rnd_seed = request.HeaderInt("seed", 99);
-  options->census.num_threads =
-      static_cast<std::uint32_t>(request.HeaderInt("threads", 1));
-  std::string algorithm = request.Header("algorithm", "");
-  if (!algorithm.empty()) {
-    options->auto_algorithm = false;
-    static const std::map<std::string, CensusAlgorithm> kNames = {
-        {"nd-bas", CensusAlgorithm::kNdBas},
-        {"nd-pvot", CensusAlgorithm::kNdPvot},
-        {"nd-diff", CensusAlgorithm::kNdDiff},
-        {"pt-bas", CensusAlgorithm::kPtBas},
-        {"pt-opt", CensusAlgorithm::kPtOpt},
-        {"pt-rnd", CensusAlgorithm::kPtRnd},
-    };
-    auto it = kNames.find(ToLower(algorithm));
-    if (it == kNames.end()) {
-      return Status::InvalidArgument("unknown algorithm " + algorithm);
-    }
-    options->census.algorithm = it->second;
-  }
-  std::string matcher = ToLower(request.Header("matcher", "cn"));
-  if (matcher == "gql") {
-    options->census.use_gql_matcher = true;
-  } else if (matcher != "cn") {
-    return Status::InvalidArgument("unknown matcher " + matcher +
-                                   " (expected cn or gql)");
-  }
-  // Fast-path routing, mirroring the CLI rule: an explicit algorithm or
-  // matcher header without a fast_path header pins the fast path off, so a
-  // client that picked an engine gets that engine.
-  std::string fast_path = ToLower(request.Header("fast_path", ""));
-  if (fast_path.empty()) {
-    if (request.HasHeader("algorithm") || request.HasHeader("matcher")) {
-      options->census.fast_path = FastPathMode::kOff;
-    }
-  } else if (fast_path == "auto") {
-    options->census.fast_path = FastPathMode::kAuto;
-  } else if (fast_path == "force") {
-    options->census.fast_path = FastPathMode::kForce;
-  } else if (fast_path == "off") {
-    options->census.fast_path = FastPathMode::kOff;
-  } else {
-    return Status::InvalidArgument("unknown fast_path " + fast_path +
-                                   " (expected auto, force or off)");
-  }
-  if (request.HasHeader("degrade-approx")) {
-    options->census.degrade_to_approx = true;
-    std::uint64_t permille = request.HeaderInt("degrade-approx", 0);
-    if (permille > 0 && permille <= 1000) {
-      options->census.degrade_sample_rate =
-          static_cast<double>(permille) / 1000.0;
-    }
-  }
-  return Status::Ok();
-}
 
 /// Highest sortable column for top-N (mirrors the CLI: trailing .state
 /// columns of interrupted governed runs do not sort).
@@ -558,7 +508,7 @@ Message CensusServer::HandleQuery(const Message& request, int client_fd,
   if (!entry.ok()) return ErrorResponse(ctx, entry.status());
 
   QueryEngine::Options options;
-  Status parsed = QueryOptionsFromHeaders(request, &options);
+  Status parsed = ParseQueryOptions(request.headers, &options);
   if (!parsed.ok()) return ErrorResponse(ctx, parsed);
   options.census.num_threads = static_cast<std::uint32_t>(ClampLimit(
       options.census.num_threads, options_.max_threads));
@@ -592,9 +542,7 @@ Message CensusServer::HandleQuery(const Message& request, int client_fd,
 #endif
   Message response;
   {
-    DisconnectWatcher watcher(client_fd, &governor,
-                              options_.disconnect_poll_ms,
-                              &disconnect_cancels_);
+    DisconnectWatcher watcher(client_fd, &governor, &disconnect_cancels_);
     QueryEngine engine(graph.snapshot, &graph.indexes);
     auto table = engine.Execute(request.body, options);
     if (!table.ok()) return ErrorResponse(ctx, table.status());
@@ -605,7 +553,10 @@ Message CensusServer::HandleQuery(const Message& request, int client_fd,
       complete += exec.complete;
       approx += exec.approx;
       pending += exec.pending;
+      if (!ctx.plan.empty()) ctx.plan += ",";
+      ctx.plan += exec.plan;
     }
+    if (ctx.plan.empty()) ctx.plan = "none";  // no census aggregate
     // Per-graph routing tallies (surfaced in STATUS): one count per census
     // aggregate, attributed to the engine that actually ran it.
     std::uint64_t routed = 0, generic = 0;
@@ -657,6 +608,7 @@ Message CensusServer::HandleQuery(const Message& request, int client_fd,
     response.headers["focal_approx"] = std::to_string(approx);
     response.headers["focal_pending"] = std::to_string(pending);
     response.headers["fastpath_routed"] = std::to_string(routed);
+    response.headers["plan"] = ctx.plan;
     response.headers["graph_version"] =
         std::to_string(graph.dynamic.version());
     std::ostringstream body;
@@ -719,9 +671,7 @@ Message CensusServer::HandleUpdate(const Message& request, int client_fd,
   std::uint64_t applied = 0, noop = 0;
   Status exec_status = Status::Ok();
   {
-    DisconnectWatcher watcher(client_fd, &governor,
-                              options_.disconnect_poll_ms,
-                              &disconnect_cancels_);
+    DisconnectWatcher watcher(client_fd, &governor, &disconnect_cancels_);
     for (const GraphUpdate& update : *updates) {
       if (governor.Checkpoint() != StopReason::kNone) {
         exec_status = governor.ToStatus("update batch");
@@ -1217,7 +1167,8 @@ void CensusServer::FinishRequest(const RequestContext& ctx,
             .Int("pattern_nodes", ctx.pattern_nodes)
             .Int("k", ctx.k)
             .Int("fastpath_routed", ctx.fastpath_routed)
-            .Int("fastpath_generic", ctx.fastpath_generic);
+            .Int("fastpath_generic", ctx.fastpath_generic)
+            .Str("plan", ctx.plan);
       }
       if (!ctx.obs_delta.empty()) {
         std::string deltas = "{";

@@ -87,10 +87,6 @@ class CensusServer {
     /// Entries kept in the recent-request ring surfaced by STATUS.
     std::size_t ring_capacity = 64;
 
-    /// Disconnect-watcher poll period. Small: this bounds how long a
-    /// cancelled client's census keeps running.
-    int disconnect_poll_ms = 5;
-
     /// Requests slower than this capture their span tree + metric deltas
     /// into the slow-query ring (docs/OBSERVABILITY.md, "Request
     /// telemetry"). 0 disables capture.

@@ -21,10 +21,12 @@ std::vector<std::uint64_t> Counts(const Graph& g, const Pattern& p,
   return r.ok() ? std::move(r->counts) : std::vector<std::uint64_t>{};
 }
 
+// The six engines plus the planner's choice, which must agree with them.
 constexpr CensusAlgorithm kAllAlgorithms[] = {
     CensusAlgorithm::kNdBas, CensusAlgorithm::kNdPvot,
     CensusAlgorithm::kNdDiff, CensusAlgorithm::kPtBas,
-    CensusAlgorithm::kPtOpt, CensusAlgorithm::kPtRnd};
+    CensusAlgorithm::kPtOpt, CensusAlgorithm::kPtRnd,
+    CensusAlgorithm::kAuto};
 
 TEST(CensusTest, TriangleCountsOnSmallGraph) {
   // Two triangles sharing edge 1-2: {0,1,2} and {1,2,3}; plus pendant 4.
@@ -193,7 +195,7 @@ TEST_P(CensusAgreementTest, AllAlgorithmsAgree) {
   for (auto algorithm :
        {CensusAlgorithm::kNdPvot, CensusAlgorithm::kNdDiff,
         CensusAlgorithm::kPtBas, CensusAlgorithm::kPtOpt,
-        CensusAlgorithm::kPtRnd}) {
+        CensusAlgorithm::kPtRnd, CensusAlgorithm::kAuto}) {
     CensusOptions opts = base;
     opts.algorithm = algorithm;
     auto counts = Counts(g, pattern, focal, opts);
@@ -243,7 +245,8 @@ TEST(CensusAgreementTest, SubpatternAcrossAlgorithms) {
   auto reference = Counts(g, *wedge, focal, base);
   for (auto algorithm :
        {CensusAlgorithm::kNdPvot, CensusAlgorithm::kNdDiff,
-        CensusAlgorithm::kPtBas, CensusAlgorithm::kPtOpt}) {
+        CensusAlgorithm::kPtBas, CensusAlgorithm::kPtOpt,
+        CensusAlgorithm::kAuto}) {
     CensusOptions opts = base;
     opts.algorithm = algorithm;
     auto counts = Counts(g, *wedge, focal, opts);
@@ -357,6 +360,41 @@ TEST(CensusTest, DirectedGraphNeighborhoodsIgnoreDirection) {
     EXPECT_EQ(counts[1], 2u) << CensusAlgorithmName(algorithm);
     EXPECT_EQ(counts[0], 1u) << CensusAlgorithmName(algorithm);
   }
+}
+
+// Every engine, and the fast path, reports each focal node complete on an
+// ungoverned run. The pattern-driven engines mark completion for the whole
+// focal set at once, so a lost store there shows up as all-pending.
+TEST(CensusTest, UngovernedRunsMarkEveryFocalComplete) {
+  GeneratorOptions gopts;
+  gopts.num_nodes = 120;
+  gopts.seed = 41;
+  Graph g = GeneratePreferentialAttachment(gopts);
+  Pattern tri = MakeTriangle(false);
+  const std::vector<NodeId> focal = {0, 3, 17, 42, 99};
+  auto complete = [&](const CensusResult& r) {
+    std::size_t n = 0;
+    for (NodeId f : focal) n += r.focal_state[f] == FocalState::kComplete;
+    return n;
+  };
+  for (auto algorithm : kAllAlgorithms) {
+    CensusOptions opts;
+    opts.algorithm = algorithm;
+    opts.k = 1;
+    auto r = RunCensus(g, tri, focal, opts);
+    ASSERT_TRUE(r.ok());
+    if (algorithm != CensusAlgorithm::kAuto) {
+      EXPECT_EQ(r->stats.fastpath_routed, 0u) << CensusAlgorithmName(algorithm);
+    }
+    EXPECT_EQ(complete(*r), focal.size()) << CensusAlgorithmName(algorithm);
+  }
+  CensusOptions fast;
+  fast.fast_path = FastPathMode::kForce;
+  fast.k = 1;
+  auto r = RunCensus(g, tri, focal, fast);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->stats.fastpath_routed, 1u);
+  EXPECT_EQ(complete(*r), focal.size()) << "fast path";
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
 #include "lang/engine.h"
+#include "lang/query_options.h"
 
 #include <gtest/gtest.h>
 
@@ -187,8 +188,10 @@ TEST(EngineTest, LastStatsPopulated) {
   Graph g = MakeGraph(4, {{0, 1}, {1, 2}, {2, 0}, {2, 3}});
   QueryEngine engine(g);
   engine.RegisterPattern(MakeTriangle(false));
-  // num_matches is a matcher stat; route to the generic engine to see it.
+  // num_matches is a global-matcher stat: pin an engine that runs one.
   QueryEngine::Options options;
+  options.auto_algorithm = false;
+  options.census.algorithm = CensusAlgorithm::kNdPvot;
   options.census.fast_path = FastPathMode::kOff;
   auto result = engine.Execute(
       "SELECT ID, COUNTP(clq3-unlb, SUBGRAPH(ID, 1)) FROM nodes", options);
@@ -327,6 +330,72 @@ TEST(EngineCachingTest, RepeatedQueriesConsistent) {
     EXPECT_EQ(std::get<std::int64_t>(first->At(r, 1)),
               std::get<std::int64_t>(second->At(r, 1)));
   }
+}
+
+TEST(QueryOptionsTest, OneParserForFlagsAndHeaders) {
+  QueryEngine::Options defaults;
+  ASSERT_TRUE(ParseQueryOptions({}, &defaults).ok());
+  EXPECT_TRUE(defaults.auto_algorithm);
+  EXPECT_EQ(defaults.census.algorithm, CensusAlgorithm::kAuto);
+  EXPECT_EQ(defaults.census.fast_path, FastPathMode::kAuto);
+  EXPECT_EQ(defaults.rnd_seed, 99u);
+
+  QueryEngine::Options options;
+  ASSERT_TRUE(ParseQueryOptions({{"algorithm", "ND-PVOT"},
+                                 {"matcher", "gql"},
+                                 {"threads", "4"},
+                                 {"seed", "12"},
+                                 {"degrade-approx", "250"}},
+                                &options)
+                  .ok());
+  EXPECT_FALSE(options.auto_algorithm);
+  EXPECT_EQ(options.census.algorithm, CensusAlgorithm::kNdPvot);
+  // An explicit engine no longer switches the fast path off by itself:
+  // it simply does not run unless forced.
+  EXPECT_EQ(options.census.fast_path, FastPathMode::kAuto);
+  EXPECT_TRUE(options.census.use_gql_matcher);
+  EXPECT_EQ(options.census.num_threads, 4u);
+  EXPECT_EQ(options.rnd_seed, 12u);
+  EXPECT_TRUE(options.census.degrade_to_approx);
+  EXPECT_DOUBLE_EQ(options.census.degrade_sample_rate, 0.25);
+
+  QueryEngine::Options automatic;
+  ASSERT_TRUE(ParseQueryOptions({{"algorithm", "auto"}, {"fast_path", "off"}},
+                                &automatic)
+                  .ok());
+  EXPECT_TRUE(automatic.auto_algorithm);
+  EXPECT_EQ(automatic.census.fast_path, FastPathMode::kOff);
+
+  for (const QuerySettings& bad :
+       {QuerySettings{{"algorithm", "pt-fast"}},
+        QuerySettings{{"matcher", "vf2"}},
+        QuerySettings{{"fast_path", "sometimes"}},
+        QuerySettings{{"threads", "four"}},
+        QuerySettings{{"seed", ""}}}) {
+    QueryEngine::Options rejected;
+    Status status = ParseQueryOptions(bad, &rejected);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << bad.begin()->first;
+  }
+}
+
+TEST(EngineTest, LastExecReportsThePlan) {
+  Graph g = MakeGraph(4, {{0, 1}, {1, 2}, {2, 0}, {2, 3}});
+  QueryEngine engine(g);
+  engine.RegisterPattern(MakeTriangle(false));
+  auto result = engine.Execute(
+      "SELECT ID, COUNTP(clq3-unlb, SUBGRAPH(ID, 1)) FROM nodes");
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(engine.last_exec().size(), 1u);
+  EXPECT_STREQ(engine.last_exec()[0].plan, "fastpath");
+
+  QueryEngine::Options pinned;
+  pinned.auto_algorithm = false;
+  pinned.census.algorithm = CensusAlgorithm::kPtBas;
+  result = engine.Execute(
+      "SELECT ID, COUNTP(clq3-unlb, SUBGRAPH(ID, 1)) FROM nodes", pinned);
+  ASSERT_TRUE(result.ok());
+  EXPECT_STREQ(engine.last_exec()[0].plan, "pt-bas");
 }
 
 }  // namespace

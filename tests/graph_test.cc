@@ -2,12 +2,34 @@
 
 #include <gtest/gtest.h>
 
+#include "dynamic/dynamic_graph.h"
+#include "graph/subgraph.h"
 #include "tests/test_util.h"
 
 namespace egocensus {
 namespace {
 
 using testing::MakeGraph;
+
+// Finalize records whether a row repeats a target, once, for every
+// finalized graph: loaded, materialized from an overlay, or extracted.
+TEST(GraphTest, ParallelEdgeFlagRecordedAtFinalize) {
+  Graph simple = MakeGraph(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}});
+  EXPECT_FALSE(simple.has_parallel_edges());
+  Graph multi = MakeGraph(4, {{0, 1}, {1, 2}, {2, 1}});
+  EXPECT_TRUE(multi.has_parallel_edges());
+  EXPECT_EQ(multi.Degree(1), 3u);  // rows keep both copies, sorted
+  EXPECT_EQ(multi.Neighbors(1)[1], 2u);
+  EXPECT_EQ(multi.Neighbors(1)[2], 2u);
+
+  DynamicGraph dynamic{Graph(simple)};
+  EXPECT_FALSE(dynamic.Materialize().has_parallel_edges());
+  EXPECT_TRUE(DynamicGraph{Graph(multi)}.Materialize().has_parallel_edges());
+
+  SubgraphExtractor extractor(multi);
+  EXPECT_TRUE(extractor.ExtractKHop(1, 1, false).graph.has_parallel_edges());
+  EXPECT_FALSE(extractor.ExtractKHop(0, 0, false).graph.has_parallel_edges());
+}
 
 TEST(GraphTest, EmptyGraph) {
   Graph g;

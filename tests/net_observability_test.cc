@@ -193,6 +193,8 @@ TEST(NetObservabilityTest, PropagatedIdAppearsInExactlyOneLogLine) {
   auto response = client->Call(request);
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response->Header("request_id", ""), "wide-evt-7");
+  // The planner's choice rides on the result and the wide event alike.
+  EXPECT_EQ(response->Header("plan", ""), "fastpath");
 
   // The log line is written before the response hits the wire, but flush
   // ordering is the logger's; written() is the barrier.
@@ -221,6 +223,7 @@ TEST(NetObservabilityTest, PropagatedIdAppearsInExactlyOneLogLine) {
   EXPECT_NE(the_line.find("\"rows\":"), std::string::npos);
   EXPECT_NE(the_line.find("\"pattern_nodes\":3"), std::string::npos);
   EXPECT_NE(the_line.find("\"k\":1"), std::string::npos);
+  EXPECT_NE(the_line.find("\"plan\":\"fastpath\""), std::string::npos);
   EXPECT_EQ(the_line.front(), '{');
   EXPECT_EQ(the_line.back(), '}');
 }

@@ -4,7 +4,7 @@
 //   ecensus generate --type pa|er|ws|rmat --nodes N [options] --out FILE
 //   ecensus info --graph FILE
 //   ecensus query --graph FILE (--query "SQL" | --query-file FILE)
-//                 [--algorithm nd-bas|nd-pvot|nd-diff|pt-bas|pt-opt|pt-rnd]
+//                 [--algorithm auto|nd-bas|nd-pvot|nd-diff|pt-bas|pt-opt|pt-rnd]
 //                 [--threads T] [--top N] [--csv]
 //   ecensus update --graph FILE --updates FILE
 //                  (--query "SQL" | --query-file FILE)
@@ -34,6 +34,7 @@
 #include "graph/io.h"
 #include "lang/engine.h"
 #include "lang/maintain.h"
+#include "lang/query_options.h"
 #include "net/client.h"
 #include "net/socket.h"
 #include "obs/metrics.h"
@@ -108,9 +109,10 @@ int Usage() {
       "                   [--edges E] [--labels L] [--seed S] --out FILE\n"
       "  ecensus info --graph FILE\n"
       "  ecensus query --graph FILE (--query SQL | --query-file FILE)\n"
-      "                [--algorithm nd-bas|nd-pvot|nd-diff|pt-bas|pt-opt|pt-rnd]\n"
-      "                [--matcher cn|gql] [--threads T (0 = all cores)]\n"
-      "                [--fast-path auto|force|off]\n"
+      "                [--algorithm " << kAlgorithmValues << "]\n"
+      "                [--matcher " << kMatcherValues <<
+      "] [--threads T (0 = all cores)]\n"
+      "                [--fast-path " << kFastPathValues << "]\n"
       "                [--top N] [--csv] [--seed S]\n"
       "                [--timeout-ms MS] [--memory-budget-mb MB]\n"
       "                [--degrade-approx [RATE]]\n"
@@ -145,10 +147,13 @@ int Usage() {
       "interrupted aggregates — and exit non-zero with the stop reason.\n"
       "--degrade-approx re-covers interrupted focal nodes with sampled\n"
       "estimates (optional RATE in (0,1], default 0.1).\n"
+      "--algorithm auto (default) lets the cost-based planner pick the\n"
+      "engine per aggregate; any other value runs exactly that engine.\n"
       "--fast-path controls the combinatorial <= 4-node kernels\n"
-      "(docs/FAST_PATH.md): auto routes eligible censuses, force errors when\n"
-      "ineligible, off always runs the generic engine. Default: auto, or off\n"
-      "when --algorithm/--matcher picked an engine explicitly.\n";
+      "(docs/FAST_PATH.md): auto leaves them to the planner, force runs them\n"
+      "whatever the algorithm (error when ineligible), off never runs them.\n"
+      "--csv writes per-aggregate stats, including the chosen plan, to\n"
+      "stderr.\n";
   return 2;
 }
 
@@ -241,7 +246,7 @@ void WriteStatsCsv(const std::vector<CensusStats>& stats,
   if (stats.empty()) return;
   os << "aggregate,num_matches,match_seconds,index_seconds,census_seconds,"
         "threads_used,peak_neighborhood,exec_status,focal_complete,"
-        "focal_approx,focal_pending\n";
+        "focal_approx,focal_pending,plan\n";
   for (std::size_t i = 0; i < stats.size(); ++i) {
     const CensusStats& s = stats[i];
     os << i << "," << s.num_matches << "," << s.match_seconds << ","
@@ -250,9 +255,9 @@ void WriteStatsCsv(const std::vector<CensusStats>& stats,
     if (i < exec.size()) {
       const QueryEngine::AggregateExec& e = exec[i];
       os << "," << StatusCodeName(e.status.code()) << "," << e.complete << ","
-         << e.approx << "," << e.pending;
+         << e.approx << "," << e.pending << "," << e.plan;
     } else {
-      os << ",OK,0,0,0";
+      os << ",OK,0,0,0,";
     }
     os << "\n";
   }
@@ -283,6 +288,25 @@ std::size_t TopSortColumn(const ResultTable& table) {
     return Status::InvalidArgument("--query or --query-file is required");
   }
   return query;
+}
+
+/// Maps the census-shaping flags onto the query setting keys (the wire's
+/// header names), so local and remote queries go through the same parser,
+/// ParseQueryOptions. --degrade-approx takes a fraction; the setting is in
+/// permille.
+QuerySettings QuerySettingsFromArgs(const Args& args) {
+  QuerySettings settings;
+  for (const char* key : {"algorithm", "matcher", "threads", "seed"}) {
+    if (args.Has(key)) settings[key] = args.Get(key, "");
+  }
+  if (args.Has("fast-path")) settings["fast_path"] = args.Get("fast-path", "");
+  if (args.Has("degrade-approx")) {
+    double rate = args.GetDouble("degrade-approx", 0.0);
+    settings["degrade-approx"] = std::to_string(
+        rate > 0.0 && rate <= 1.0 ? static_cast<std::uint64_t>(rate * 1000.0)
+                                  : 0);
+  }
+  return settings;
 }
 
 int RunGenerate(const Args& args) {
@@ -435,59 +459,13 @@ int RunQuery(const Args& args, bool stats_mode) {
 
   QueryEngine engine(*graph);
   QueryEngine::Options options;
-  options.rnd_seed = args.GetInt("seed", 99);
-  options.census.num_threads =
-      static_cast<std::uint32_t>(args.GetInt("threads", 1));
+  if (Status s = ParseQueryOptions(QuerySettingsFromArgs(args), &options);
+      !s.ok()) {
+    return Fail(s);
+  }
   Governor governor;
   if (GovernorFromArgs(args, &governor)) {
     options.census.governor = &governor;
-  }
-  if (args.Has("degrade-approx")) {
-    options.census.degrade_to_approx = true;
-    double rate = args.GetDouble("degrade-approx", 0.0);
-    if (rate > 0.0 && rate <= 1.0) options.census.degrade_sample_rate = rate;
-  }
-  std::string algorithm = args.Get("algorithm", "");
-  if (!algorithm.empty()) {
-    options.auto_algorithm = false;
-    static const std::map<std::string, CensusAlgorithm> kNames = {
-        {"nd-bas", CensusAlgorithm::kNdBas},
-        {"nd-pvot", CensusAlgorithm::kNdPvot},
-        {"nd-diff", CensusAlgorithm::kNdDiff},
-        {"pt-bas", CensusAlgorithm::kPtBas},
-        {"pt-opt", CensusAlgorithm::kPtOpt},
-        {"pt-rnd", CensusAlgorithm::kPtRnd},
-    };
-    auto it = kNames.find(ToLower(algorithm));
-    if (it == kNames.end()) {
-      return Fail(Status::InvalidArgument("unknown --algorithm " + algorithm));
-    }
-    options.census.algorithm = it->second;
-  }
-  std::string matcher = ToLower(args.Get("matcher", "cn"));
-  if (matcher == "gql") {
-    options.census.use_gql_matcher = true;
-  } else if (matcher != "cn") {
-    return Fail(Status::InvalidArgument("unknown --matcher " + matcher +
-                                        " (expected cn or gql)"));
-  }
-  // Fast-path routing. An explicit --algorithm/--matcher without
-  // --fast-path pins the fast path off: asking for a specific engine means
-  // that engine should actually run (and its matcher stats appear).
-  std::string fast_path = ToLower(args.Get("fast-path", ""));
-  if (fast_path.empty()) {
-    if (args.Has("algorithm") || args.Has("matcher")) {
-      options.census.fast_path = FastPathMode::kOff;
-    }
-  } else if (fast_path == "auto") {
-    options.census.fast_path = FastPathMode::kAuto;
-  } else if (fast_path == "force") {
-    options.census.fast_path = FastPathMode::kForce;
-  } else if (fast_path == "off") {
-    options.census.fast_path = FastPathMode::kOff;
-  } else {
-    return Fail(Status::InvalidArgument("unknown --fast-path " + fast_path +
-                                        " (expected auto, force or off)"));
   }
   auto result = engine.Execute(*query, options);
   if (!result.ok()) return Fail(result.status());
@@ -499,7 +477,12 @@ int RunQuery(const Args& args, bool stats_mode) {
   }
   if (stats_mode) {
     // Result rows are elided: the subcommand's product is the metric view.
-    std::cout << "query returned " << result->NumRows() << " rows\n\n";
+    std::cout << "query returned " << result->NumRows() << " rows\n";
+    for (std::size_t i = 0; i < engine.last_exec().size(); ++i) {
+      std::cout << "aggregate " << i << ": plan=" << engine.last_exec()[i].plan
+                << "\n";
+    }
+    std::cout << "\n";
     // egolint: allow-obs(Registry is declared unconditionally and stubbed under EGO_OBS_ENABLED=0 — stats mode degrades to an empty table)
     PrintMetricsTables(obs::Registry::Global().Snapshot(), std::cout);
   } else if (args.Has("csv")) {
@@ -512,9 +495,8 @@ int RunQuery(const Args& args, bool stats_mode) {
     std::cout << result->ToString(limit);
     for (std::size_t i = 0; i < engine.last_stats().size(); ++i) {
       const CensusStats& s = engine.last_stats()[i];
-      std::cout << "aggregate " << i << ": "
-                << (s.fastpath_routed != 0 ? "engine=fastpath " : "")
-                << "threads=" << s.threads_used
+      std::cout << "aggregate " << i << ": plan=" << engine.last_exec()[i].plan
+                << " threads=" << s.threads_used
                 << " matches=" << s.num_matches << " match=" << s.match_seconds
                 << "s index=" << s.index_seconds
                 << "s census=" << s.census_seconds
@@ -644,32 +626,9 @@ int RunRemote(const std::string& action, const Args& args) {
       request.headers["memory_budget_mb"] =
           std::to_string(args.GetInt("memory-budget-mb", 0));
     }
-    if (args.Has("threads")) {
-      request.headers["threads"] = std::to_string(args.GetInt("threads", 1));
-    }
-    if (args.Has("algorithm")) {
-      request.headers["algorithm"] = args.Get("algorithm", "");
-    }
-    if (args.Has("matcher")) {
-      request.headers["matcher"] = args.Get("matcher", "cn");
-    }
-    if (args.Has("fast-path")) {
-      request.headers["fast_path"] = args.Get("fast-path", "auto");
-    }
+    request.headers.merge(QuerySettingsFromArgs(args));
     if (args.Has("top")) {
       request.headers["top"] = std::to_string(args.GetInt("top", 20));
-    }
-    if (args.Has("seed")) {
-      request.headers["seed"] = std::to_string(args.GetInt("seed", 99));
-    }
-    if (args.Has("degrade-approx")) {
-      // Wire format is integer permille (headers are integers); the CLI's
-      // fractional RATE is converted here.
-      double rate = args.GetDouble("degrade-approx", 0.0);
-      request.headers["degrade-approx"] = std::to_string(
-          rate > 0.0 && rate <= 1.0
-              ? static_cast<std::uint64_t>(rate * 1000.0)
-              : 0);
     }
     if (!args.Has("csv")) request.headers["format"] = "text";
   } else if (action == "update") {
