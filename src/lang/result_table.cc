@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "util/strings.h"
 #include "util/table_printer.h"
 
 namespace egocensus {
@@ -32,6 +33,12 @@ void ResultTable::SortByColumnDesc(std::size_t col) {
                    [col](const auto& a, const auto& b) {
                      return NumericValue(a[col]) > NumericValue(b[col]);
                    });
+}
+
+void ResultTable::SortForTop() {
+  std::size_t cols = columns_.size();
+  while (cols > 0 && EndsWith(columns_[cols - 1], ".state")) --cols;
+  if (cols >= 2) SortByColumnDesc(cols - 1);
 }
 
 void ResultTable::SortByColumns(

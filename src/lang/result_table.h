@@ -33,6 +33,11 @@ class ResultTable {
   /// inspection of census counts).
   void SortByColumnDesc(std::size_t col);
 
+  /// The `--top` / `top` order: descending by the last count column.
+  /// Trailing `.state` columns (interrupted governed runs) do not sort, and
+  /// a table without a count column after the first keeps its order.
+  void SortForTop();
+
   /// Stable-sorts rows by multiple (column, descending) keys, first key
   /// highest priority.
   void SortByColumns(const std::vector<std::pair<std::size_t, bool>>& keys);

@@ -4,7 +4,6 @@
 #include <sys/socket.h>
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 
 #include "exec/failpoints.h"
@@ -34,11 +33,6 @@ bool ClientGone(int fd) {
     return n == 0;
   }
   return false;
-}
-
-std::size_t WaitBucket(std::uint64_t wait_us) {
-  if (wait_us == 0) return 0;
-  return std::min<std::size_t>(std::bit_width(wait_us), 32);
 }
 
 }  // namespace
@@ -85,15 +79,6 @@ FairRequestQueue::Tenant& FairRequestQueue::TenantLocked(
   Tenant& t = tenants_[tenant];
   if (t.stats.tenant.empty()) t.stats.tenant = tenant;
   return t;
-}
-
-void FairRequestQueue::RecordWaitLocked(Tenant& tenant,
-                                        std::uint64_t wait_us) {
-  TenantQueueStats& s = tenant.stats;
-  ++s.wait_count;
-  s.wait_sum_us += wait_us;
-  s.wait_max_us = std::max(s.wait_max_us, wait_us);
-  ++s.wait_buckets[WaitBucket(wait_us)];
 }
 
 void FairRequestQueue::ScheduleLocked() {
@@ -181,7 +166,7 @@ AdmitOutcome FairRequestQueue::Acquire(const std::string& tenant,
       ++active_;
       peak_active_ = std::max(peak_active_, active_);
       ++t.stats.granted;
-      RecordWaitLocked(t, 0);
+      t.stats.wait.Record(0);
       lock.Unlock();
       EGO_FAILPOINT("net/queue/dequeue");
       return AdmitOutcome::kGranted;
@@ -221,9 +206,7 @@ AdmitOutcome FairRequestQueue::Acquire(const std::string& tenant,
     }
     const std::uint64_t waited = Timer::NowMicros() - enqueue_us;
     *wait_us = waited;
-    if (waiter.outcome == AdmitOutcome::kGranted) {
-      RecordWaitLocked(t, waited);
-    }
+    if (waiter.outcome == AdmitOutcome::kGranted) t.stats.wait.Record(waited);
   }
   // Our enqueue or eviction may have let the scheduler grant other
   // waiters; wake them now instead of leaving them to their poll tick.

@@ -30,7 +30,6 @@
 // non-grant outcome — so at quiescence enqueue hits equal dequeue plus
 // evict hits exactly, the conservation law the chaos test asserts.
 
-#include <array>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -38,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -77,9 +77,8 @@ enum class AdmitOutcome : std::uint8_t {
 const char* AdmitOutcomeName(AdmitOutcome outcome);
 
 /// Monotone per-tenant accounting, surfaced in STATUS ("tenants") and the
-/// Prometheus exposition. wait_buckets is a log2 histogram of granted
-/// queue waits in microseconds: bucket 0 counts zero-wait grants, bucket
-/// b >= 1 counts waits in [2^(b-1), 2^b).
+/// Prometheus exposition. `wait` is the log2 histogram of granted queue
+/// waits in microseconds, in the obs registry's bucket layout.
 struct TenantQueueStats {
   std::string tenant;
   std::uint64_t depth = 0;  // currently queued (point-in-time)
@@ -89,10 +88,7 @@ struct TenantQueueStats {
   std::uint64_t evicted_deadline = 0;
   std::uint64_t evicted_disconnect = 0;
   std::uint64_t evicted_drain = 0;
-  std::uint64_t wait_count = 0;
-  std::uint64_t wait_sum_us = 0;
-  std::uint64_t wait_max_us = 0;
-  std::array<std::uint64_t, 33> wait_buckets{};
+  obs::HistogramSnapshot wait;
 };
 
 class FairRequestQueue {
@@ -155,9 +151,6 @@ class FairRequestQueue {
 
   /// Looks up / creates the per-tenant state.
   Tenant& TenantLocked(const std::string& tenant) EGO_REQUIRES(mu_);
-
-  void RecordWaitLocked(Tenant& tenant, std::uint64_t wait_us)
-      EGO_REQUIRES(mu_);
 
   /// Normalized in the constructor, read-only afterwards.
   // egolint: no-guard(immutable after construction, read lock-free)

@@ -15,14 +15,12 @@
 #include "lang/engine.h"
 #include "lang/query_options.h"
 #include "obs/log.h"
+#include "obs/metrics.h"
 #include "obs/obs.h"
+#include "obs/prometheus.h"
 #include "util/build_info.h"
 #include "util/strings.h"
 #include "util/timer.h"
-#if EGO_OBS_ENABLED
-#include "obs/metrics.h"
-#include "obs/prometheus.h"
-#endif
 
 namespace egocensus::net {
 
@@ -132,36 +130,41 @@ class QueueSlot {
   FairRequestQueue* queue_;
 };
 
-/// Highest sortable column for top-N (mirrors the CLI: trailing .state
-/// columns of interrupted governed runs do not sort).
-std::size_t TopSortColumn(const ResultTable& table) {
-  std::size_t cols = table.NumColumns();
-  while (cols > 0 && EndsWith(table.columns()[cols - 1], ".state")) --cols;
-  return cols;
+/// The request verbs STATUS and METRICS tally, in wire order.
+constexpr FrameType kRequestVerbs[] = {
+    FrameType::kQuery, FrameType::kUpdate,   FrameType::kStatus,
+    FrameType::kLoad,  FrameType::kUnload,   FrameType::kShutdown,
+    FrameType::kMetrics};
+
+/// A RESULT frame carrying `body`.
+Message ResultResponse(std::string body) {
+  Message response;
+  response.type = FrameType::kResult;
+  response.body = std::move(body);
+  return response;
 }
 
-/// Exposition label-value escaping for the always-compiled daemon families
-/// (graph names are user strings). Kept local so this file never touches
-/// the obs exporter outside its EGO_OBS_ENABLED gate.
-std::string PromLabel(std::string_view value) {
-  std::string out;
-  out.reserve(value.size());
-  for (char c : value) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
+/// The RESULT of a governed QUERY/UPDATE: how the run ended and, if it
+/// stopped early, why.
+Message GovernedResult(const Status& exec_status, const Governor& governor) {
+  Message response = ResultResponse("");
+  response.headers["exec_status"] = StatusCodeName(exec_status.code());
+  if (!exec_status.ok()) {
+    response.headers["exec_message"] = exec_status.message();
   }
-  return out;
+  response.headers["stop_reason"] = StopReasonName(governor.reason());
+  return response;
+}
+
+/// Arms a QUERY/UPDATE governor from its dispatch context: the request id
+/// annotates stop messages, and the deadline is the absolute one computed
+/// at dispatch, so queue wait has already spent part of the budget.
+void GovernFromContext(const RequestContext& ctx, Governor* governor) {
+  governor->SetAnnotation("request " + ctx.id);
+  governor->SetQueueWaitMicros(ctx.queue_wait_us);
+  if (ctx.deadline_us > 0) {
+    governor->SetDeadline(Deadline::AtMicros(ctx.deadline_us));
+  }
 }
 
 std::uint64_t SecondsToMicros(double seconds) {
@@ -335,9 +338,7 @@ void CensusServer::ServeConnection(Connection* connection) {
         // The error never reached Dispatch, so stamp a fresh server id.
         protocol_errors_.fetch_add(1, std::memory_order_relaxed);
         RequestContext ctx;
-        ctx.id = FormatRequestId(
-            started_micros_,
-            request_seq_.fetch_add(1, std::memory_order_relaxed) + 1);
+        ctx.id = NextRequestId();
         Status sent = connection->socket.SendFrame(
             ErrorResponse(ctx, request.status()));
         (void)sent;  // the peer may already be gone
@@ -347,9 +348,7 @@ void CensusServer::ServeConnection(Connection* connection) {
     if (!IsRequestType(request->type)) {
       protocol_errors_.fetch_add(1, std::memory_order_relaxed);
       RequestContext ctx;
-      ctx.id = FormatRequestId(
-          started_micros_,
-          request_seq_.fetch_add(1, std::memory_order_relaxed) + 1);
+      ctx.id = NextRequestId();
       Status sent = connection->socket.SendFrame(ErrorResponse(
           ctx, Status::InvalidArgument(std::string("frame type ") +
                                        FrameTypeName(request->type) +
@@ -372,6 +371,12 @@ void CensusServer::ServeConnection(Connection* connection) {
   connection->done.store(true, std::memory_order_release);
 }
 
+std::string CensusServer::NextRequestId() {
+  const std::uint64_t seq =
+      request_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
+  return FormatRequestId(started_micros_, seq);
+}
+
 Message CensusServer::Dispatch(const Message& request, int client_fd,
                                bool* close_after) {
   Timer timer;
@@ -381,11 +386,7 @@ Message CensusServer::Dispatch(const Message& request, int client_fd,
   ctx.graph = request.Header("graph", request.Header("name", ""));
   ctx.bytes_in = PayloadBytes(request);
   ctx.id = request.Header("request_id", "");
-  if (!ValidRequestId(ctx.id)) {
-    ctx.id = FormatRequestId(
-        started_micros_,
-        request_seq_.fetch_add(1, std::memory_order_relaxed) + 1);
-  }
+  if (!ValidRequestId(ctx.id)) ctx.id = NextRequestId();
   std::uint8_t verb_byte = static_cast<std::uint8_t>(request.type);
   if (verb_byte < verb_counts_.size()) {
     verb_counts_[verb_byte].fetch_add(1, std::memory_order_relaxed);
@@ -418,22 +419,19 @@ Message CensusServer::Dispatch(const Message& request, int client_fd,
           break;
         }
         case AdmitOutcome::kOverflow:
+        case AdmitOutcome::kDraining: {
+          const bool draining = admitted == AdmitOutcome::kDraining;
           busy_rejected_.fetch_add(1, std::memory_order_relaxed);
           response = BusyResponse(
               ctx, inflight(), options_.max_inflight, queue_.depth(),
-              RetryAfterMsHint(), /*draining=*/false,
-              "queue full: " + std::to_string(queue_.depth()) +
-                  " requests queued behind " +
-                  std::to_string(options_.max_inflight) +
-                  " in flight; retry later");
+              RetryAfterMsHint(), draining,
+              draining ? "server draining: retry against another instance"
+                       : "queue full: " + std::to_string(queue_.depth()) +
+                             " requests queued behind " +
+                             std::to_string(options_.max_inflight) +
+                             " in flight; retry later");
           break;
-        case AdmitOutcome::kDraining:
-          busy_rejected_.fetch_add(1, std::memory_order_relaxed);
-          response = BusyResponse(
-              ctx, inflight(), options_.max_inflight, queue_.depth(),
-              RetryAfterMsHint(), /*draining=*/true,
-              "server draining: retry against another instance");
-          break;
+        }
         case AdmitOutcome::kDeadlineExpired:
           response = ErrorResponse(
               ctx,
@@ -461,20 +459,19 @@ Message CensusServer::Dispatch(const Message& request, int client_fd,
       break;
     }
     case FrameType::kStatus:
-      response = HandleStatus(request, ctx);
-      break;
     case FrameType::kMetrics:
-      response = HandleMetrics(request, ctx);
-      break;
     case FrameType::kLoad:
-      response = HandleLoad(request, ctx);
-      break;
     case FrameType::kUnload:
-      response = HandleUnload(request, ctx);
+      // Admin verbs bypass the fair queue: execution begins at dispatch.
+      ctx.exec_begin_us = Timer::NowMicros();
+      response =
+          request.type == FrameType::kStatus    ? HandleStatus(request, ctx)
+          : request.type == FrameType::kMetrics ? HandleMetrics(request, ctx)
+          : request.type == FrameType::kLoad    ? HandleLoad(request, ctx)
+                                                : HandleUnload(request, ctx);
       break;
     case FrameType::kShutdown:
-      response.type = FrameType::kResult;
-      response.body = "shutting down\n";
+      response = ResultResponse("shutting down\n");
       RequestShutdown();
       *close_after = true;
       break;
@@ -493,18 +490,23 @@ Message CensusServer::Dispatch(const Message& request, int client_fd,
   return response;
 }
 
-Message CensusServer::HandleQuery(const Message& request, int client_fd,
-                                  RequestContext& ctx) {
+Result<std::shared_ptr<GraphEntry>> CensusServer::RequestGraph(
+    const Message& request) const {
   std::string graph_name = request.Header("graph", "");
   if (graph_name.empty()) {
-    return ErrorResponse(ctx, 
-        Status::InvalidArgument("QUERY requires a 'graph' header"));
+    return Status::InvalidArgument(std::string(FrameTypeName(request.type)) +
+                                   " requires a 'graph' header");
   }
+  return registry_.Get(graph_name);
+}
+
+Message CensusServer::HandleQuery(const Message& request, int client_fd,
+                                  RequestContext& ctx) {
   if (request.body.empty()) {
     return ErrorResponse(ctx, Status::InvalidArgument(
         "QUERY requires the query text as the frame body"));
   }
-  auto entry = registry_.Get(graph_name);
+  auto entry = RequestGraph(request);
   if (!entry.ok()) return ErrorResponse(ctx, entry.status());
 
   QueryEngine::Options options;
@@ -515,15 +517,9 @@ Message CensusServer::HandleQuery(const Message& request, int client_fd,
 
   // Every remote query is governed: even without explicit limits the
   // governor carries the cancel-on-disconnect token, and the server caps
-  // apply regardless of what the client asked for. The deadline is the
-  // absolute one computed at dispatch — queue wait already spent part of
-  // the budget.
+  // apply regardless of what the client asked for.
   Governor governor;
-  governor.SetAnnotation("request " + ctx.id);
-  governor.SetQueueWaitMicros(ctx.queue_wait_us);
-  if (ctx.deadline_us > 0) {
-    governor.SetDeadline(Deadline::AtMicros(ctx.deadline_us));
-  }
+  GovernFromContext(ctx, &governor);
   std::uint64_t budget_mb = ClampLimit(request.HeaderInt("memory_budget_mb", 0),
                                        options_.max_memory_budget_mb);
   if (budget_mb > 0) {
@@ -536,10 +532,8 @@ Message CensusServer::HandleQuery(const Message& request, int client_fd,
   GraphEntry& graph = **entry;
   SharedMutexLock lock(graph.mutex);
   ctx.exec_begin_us = Timer::NowMicros();
-#if EGO_OBS_ENABLED
   obs::MetricsSnapshot before;
   if (obs::Enabled()) before = obs::Registry::Global().Snapshot();
-#endif
   Message response;
   {
     DisconnectWatcher watcher(client_fd, &governor, &disconnect_cancels_);
@@ -593,16 +587,9 @@ Message CensusServer::HandleQuery(const Message& request, int client_fd,
     graph.fastpath_routed.fetch_add(routed, std::memory_order_relaxed);
     graph.fastpath_generic.fetch_add(generic,
                                          std::memory_order_relaxed);
-    if (request.HasHeader("top") && TopSortColumn(*table) >= 2) {
-      table->SortByColumnDesc(TopSortColumn(*table) - 1);
-    }
+    if (request.HasHeader("top")) table->SortForTop();
     ctx.rows = table->NumRows();
-    response.type = FrameType::kResult;
-    response.headers["exec_status"] = StatusCodeName(exec_status.code());
-    if (!exec_status.ok()) {
-      response.headers["exec_message"] = exec_status.message();
-    }
-    response.headers["stop_reason"] = StopReasonName(governor.reason());
+    response = GovernedResult(exec_status, governor);
     response.headers["rows"] = std::to_string(table->NumRows());
     response.headers["focal_complete"] = std::to_string(complete);
     response.headers["focal_approx"] = std::to_string(approx);
@@ -623,7 +610,6 @@ Message CensusServer::HandleQuery(const Message& request, int client_fd,
     }
     response.body = body.str();
   }
-#if EGO_OBS_ENABLED
   // Counter deltas across the execution window: what this request added to
   // the registry, attributable because the graph lock and admission gate
   // do not serialize concurrent queries — the delta is exact only for the
@@ -637,18 +623,12 @@ Message CensusServer::HandleQuery(const Message& request, int client_fd,
       if (value > prior) ctx.obs_delta[name] = value - prior;
     }
   }
-#endif
   return response;
 }
 
 Message CensusServer::HandleUpdate(const Message& request, int client_fd,
                                    RequestContext& ctx) {
-  std::string graph_name = request.Header("graph", "");
-  if (graph_name.empty()) {
-    return ErrorResponse(ctx, 
-        Status::InvalidArgument("UPDATE requires a 'graph' header"));
-  }
-  auto entry = registry_.Get(graph_name);
+  auto entry = RequestGraph(request);
   if (!entry.ok()) return ErrorResponse(ctx, entry.status());
 
   std::istringstream body(request.body);
@@ -656,11 +636,7 @@ Message CensusServer::HandleUpdate(const Message& request, int client_fd,
   if (!updates.ok()) return ErrorResponse(ctx, updates.status());
 
   Governor governor;
-  governor.SetAnnotation("request " + ctx.id);
-  governor.SetQueueWaitMicros(ctx.queue_wait_us);
-  if (ctx.deadline_us > 0) {
-    governor.SetDeadline(Deadline::AtMicros(ctx.deadline_us));
-  }
+  GovernFromContext(ctx, &governor);
 
   // Exclusive lock: the batch is atomic with respect to queries — they see
   // the graph before it or after it, never between two of its updates.
@@ -695,13 +671,7 @@ Message CensusServer::HandleUpdate(const Message& request, int client_fd,
     ++graph.updates_applied;
   }
 
-  Message response;
-  response.type = FrameType::kResult;
-  response.headers["exec_status"] = StatusCodeName(exec_status.code());
-  if (!exec_status.ok()) {
-    response.headers["exec_message"] = exec_status.message();
-  }
-  response.headers["stop_reason"] = StopReasonName(governor.reason());
+  Message response = GovernedResult(exec_status, governor);
   response.headers["applied"] = std::to_string(applied);
   response.headers["noop"] = std::to_string(noop);
   response.headers["nodes"] = std::to_string(graph.dynamic.NumNodes());
@@ -715,47 +685,83 @@ Message CensusServer::HandleUpdate(const Message& request, int client_fd,
 
 Message CensusServer::HandleStatus(const Message& request,
                                    RequestContext& ctx) {
-  ctx.exec_begin_us = Timer::NowMicros();
-  Message response;
-  response.type = FrameType::kResult;
-  response.headers["content"] = "application/json";
   // `slow_trace: <request_id>` (empty value = newest capture) swaps the
   // body for that slow query's Chrome trace (docs/OBSERVABILITY.md).
-  if (request.HasHeader("slow_trace")) {
-    std::string trace = SlowQueryTraceJson(request.Header("slow_trace", ""));
-    if (trace.empty()) {
+  std::string body;
+  if (!request.HasHeader("slow_trace")) {
+    body = StatusJson();
+  } else {
+    body = SlowQueryTraceJson(request.Header("slow_trace", ""));
+    if (body.empty()) {
       return ErrorResponse(ctx, Status::NotFound(
           "no slow-query capture for request id '" +
           request.Header("slow_trace", "") + "'"));
     }
-    response.body = std::move(trace);
-    return response;
   }
-  response.body = StatusJson();
+  Message response = ResultResponse(std::move(body));
+  response.headers["content"] = "application/json";
   return response;
 }
 
 Message CensusServer::HandleMetrics(const Message& request,
                                     RequestContext& ctx) {
-  ctx.exec_begin_us = Timer::NowMicros();
-  Message response;
-  response.type = FrameType::kResult;
-  response.headers["content"] = "text/plain; version=0.0.4";
-  std::ostringstream os;
-  WriteDaemonExposition(os);
-#if EGO_OBS_ENABLED
-  // The engine-level registry families render from a point-in-time shard
-  // merge — recording threads never block on exposition.
-  if (obs::Enabled()) {
-    obs::WritePrometheus(obs::Registry::Global().Snapshot(), os);
+  // One exporter renders everything: the registry families (a point-in-time
+  // shard merge, so recording threads never block on exposition) when obs
+  // is on, plus the daemon's own state under daemon/.
+  obs::MetricsSnapshot snap;
+  if (obs::Enabled()) snap = obs::Registry::Global().Snapshot();
+  const Counters counters = this->counters();
+  snap.gauges["daemon/uptime_seconds"] =
+      (Timer::NowMicros() - started_micros_) / 1'000'000;
+  snap.gauges["daemon/inflight"] = inflight();
+  snap.gauges["daemon/draining"] = draining() ? 1 : 0;
+  {
+    MutexLock lock(slow_mutex_);
+    snap.gauges["daemon/slow_queries"] = slow_ring_.size();
   }
-#endif
-  response.body = os.str();
+  snap.counters["daemon/connections"] = counters.connections;
+  snap.counters["daemon/busy_rejected"] = counters.busy_rejected;
+  snap.counters["daemon/protocol_errors"] = counters.protocol_errors;
+  snap.counters["daemon/disconnect_cancels"] = counters.disconnect_cancels;
+  for (FrameType verb : kRequestVerbs) {
+    snap.counters[obs::LabeledName("daemon/requests",
+                                   {{"verb", FrameTypeName(verb)}})] =
+        VerbCount(verb);
+  }
+  for (const TenantQueueStats& t : queue_.TenantStats()) {
+    snap.gauges[obs::LabeledName("daemon/queue_depth",
+                                 {{"tenant", t.tenant}})] = t.depth;
+    snap.counters[obs::LabeledName("daemon/queue_granted",
+                                   {{"tenant", t.tenant}})] = t.granted;
+    const std::pair<const char*, std::uint64_t> reasons[] = {
+        {"overflow", t.busy_overflow},
+        {"deadline", t.evicted_deadline},
+        {"disconnect", t.evicted_disconnect},
+        {"drain", t.evicted_drain}};
+    for (const auto& [reason, count] : reasons) {
+      snap.counters[obs::LabeledName(
+          "daemon/queue_rejected",
+          {{"tenant", t.tenant}, {"reason", reason}})] = count;
+    }
+    snap.histograms[obs::LabeledName("daemon/queue_wait_us",
+                                     {{"tenant", t.tenant}})] = t.wait;
+  }
+  for (const GraphSummary& graph : registry_.Summaries()) {
+    snap.counters[obs::LabeledName(
+        "daemon/fastpath", {{"graph", graph.name}, {"route", "routed"}})] =
+        graph.fastpath_routed;
+    snap.counters[obs::LabeledName(
+        "daemon/fastpath", {{"graph", graph.name}, {"route", "generic"}})] =
+        graph.fastpath_generic;
+  }
+  std::ostringstream os;
+  obs::WritePrometheus(snap, os);
+  Message response = ResultResponse(os.str());
+  response.headers["content"] = "text/plain; version=0.0.4";
   return response;
 }
 
 Message CensusServer::HandleLoad(const Message& request, RequestContext& ctx) {
-  ctx.exec_begin_us = Timer::NowMicros();
   std::string name = request.Header("name", "");
   std::string path = request.Header("path", "");
   if (name.empty() || path.empty()) {
@@ -764,15 +770,11 @@ Message CensusServer::HandleLoad(const Message& request, RequestContext& ctx) {
   }
   Status loaded = registry_.LoadFromFile(name, path);
   if (!loaded.ok()) return ErrorResponse(ctx, loaded);
-  Message response;
-  response.type = FrameType::kResult;
-  response.body = "loaded '" + name + "' from " + path + "\n";
-  return response;
+  return ResultResponse("loaded '" + name + "' from " + path + "\n");
 }
 
 Message CensusServer::HandleUnload(const Message& request,
                                    RequestContext& ctx) {
-  ctx.exec_begin_us = Timer::NowMicros();
   std::string name = request.Header("name", "");
   if (name.empty()) {
     return ErrorResponse(ctx, 
@@ -780,10 +782,7 @@ Message CensusServer::HandleUnload(const Message& request,
   }
   Status unloaded = registry_.Unload(name);
   if (!unloaded.ok()) return ErrorResponse(ctx, unloaded);
-  Message response;
-  response.type = FrameType::kResult;
-  response.body = "unloaded '" + name + "'\n";
-  return response;
+  return ResultResponse("unloaded '" + name + "'\n");
 }
 
 std::string CensusServer::StatusJson() const {
@@ -798,7 +797,7 @@ std::string CensusServer::StatusJson() const {
   os << "  \"server\": {\"build\": \"" << JsonEscape(BuildInfoString())
      << "\", \"git\": \"" << JsonEscape(build.git_describe)
      << "\", \"build_type\": \"" << JsonEscape(build.build_type)
-     << "\", \"obs\": " << (build.obs_enabled ? "true" : "false")
+     << "\", \"obs\": " << (obs::Enabled() ? "true" : "false")
      << ", \"failpoints\": " << (build.failpoints_enabled ? "true" : "false")
      << ", \"protocol\": " << kProtocolVersion
      << ", \"pid\": " << ::getpid()
@@ -814,22 +813,19 @@ std::string CensusServer::StatusJson() const {
      << ", \"draining\": " << (draining() ? "true" : "false")
      << ", \"busy_rejected\": " << counters.busy_rejected << "},\n";
   os << "  \"tenants\": [";
-  {
-    bool first_tenant = true;
-    for (const TenantQueueStats& t : queue_.TenantStats()) {
-      if (!first_tenant) os << ", ";
-      first_tenant = false;
-      os << "{\"tenant\": \"" << JsonEscape(t.tenant)
-         << "\", \"queued\": " << t.depth << ", \"enqueued\": " << t.enqueued
-         << ", \"granted\": " << t.granted
-         << ", \"busy_overflow\": " << t.busy_overflow
-         << ", \"evicted\": {\"deadline\": " << t.evicted_deadline
-         << ", \"disconnect\": " << t.evicted_disconnect
-         << ", \"drain\": " << t.evicted_drain
-         << "}, \"wait\": {\"count\": " << t.wait_count
-         << ", \"sum_us\": " << t.wait_sum_us
-         << ", \"max_us\": " << t.wait_max_us << "}}";
-    }
+  const char* sep = "";  // ", " before every list element but the first
+  for (const TenantQueueStats& t : queue_.TenantStats()) {
+    os << sep << "{\"tenant\": \"" << JsonEscape(t.tenant)
+       << "\", \"queued\": " << t.depth << ", \"enqueued\": " << t.enqueued
+       << ", \"granted\": " << t.granted
+       << ", \"busy_overflow\": " << t.busy_overflow
+       << ", \"evicted\": {\"deadline\": " << t.evicted_deadline
+       << ", \"disconnect\": " << t.evicted_disconnect
+       << ", \"drain\": " << t.evicted_drain
+       << "}, \"wait\": {\"count\": " << t.wait.count
+       << ", \"sum_us\": " << t.wait.sum
+       << ", \"max_us\": " << t.wait.max << "}}";
+    sep = ", ";
   }
   os << "],\n";
   os << "  \"caps\": {\"max_deadline_ms\": " << options_.max_deadline_ms
@@ -841,38 +837,28 @@ std::string CensusServer::StatusJson() const {
      << ", \"protocol_errors\": " << counters.protocol_errors
      << ", \"disconnect_cancels\": " << counters.disconnect_cancels
      << ", \"verbs\": {";
-  {
-    static constexpr FrameType kVerbs[] = {
-        FrameType::kQuery,  FrameType::kUpdate,   FrameType::kStatus,
-        FrameType::kLoad,   FrameType::kUnload,   FrameType::kShutdown,
-        FrameType::kMetrics};
-    bool first_verb = true;
-    for (FrameType verb : kVerbs) {
-      if (!first_verb) os << ", ";
-      first_verb = false;
-      os << "\"" << FrameTypeName(verb) << "\": " << VerbCount(verb);
-    }
+  sep = "";
+  for (FrameType verb : kRequestVerbs) {
+    os << sep << "\"" << FrameTypeName(verb) << "\": " << VerbCount(verb);
+    sep = ", ";
   }
   os << "}},\n";
   os << "  \"graphs\": [";
-  bool first = true;
+  sep = "";
   for (const GraphSummary& graph : registry_.Summaries()) {
-    if (!first) os << ", ";
-    first = false;
-    os << "{\"name\": \"" << JsonEscape(graph.name)
+    os << sep << "{\"name\": \"" << JsonEscape(graph.name)
        << "\", \"nodes\": " << graph.nodes << ", \"edges\": " << graph.edges
        << ", \"version\": " << graph.version
        << ", \"updates_applied\": " << graph.updates_applied
        << ", \"fastpath\": {\"routed\": " << graph.fastpath_routed
        << ", \"generic\": " << graph.fastpath_generic << "}}";
+    sep = ", ";
   }
   os << "],\n";
   os << "  \"recent\": [";
-  first = true;
+  sep = "";
   for (const RequestRecord& record : RecentRequests()) {
-    if (!first) os << ", ";
-    first = false;
-    os << "{\"request_id\": \"" << JsonEscape(record.request_id)
+    os << sep << "{\"request_id\": \"" << JsonEscape(record.request_id)
        << "\", \"type\": \"" << JsonEscape(record.type) << "\", \"graph\": \""
        << JsonEscape(record.graph) << "\", \"tenant\": \""
        << JsonEscape(record.tenant) << "\", \"exec_status\": \""
@@ -882,28 +868,26 @@ std::string CensusServer::StatusJson() const {
        << ", \"queue_us\": " << record.queue_us
        << ", \"bytes_in\": " << record.bytes_in
        << ", \"bytes_out\": " << record.bytes_out << "}";
+    sep = ", ";
   }
   os << "],\n";
   os << "  \"slow_queries\": [";
-  first = true;
+  sep = "";
   for (const SlowQueryRecord& record : SlowQueries()) {
-    if (!first) os << ", ";
-    first = false;
-    os << "{\"request_id\": \"" << JsonEscape(record.request_id)
+    os << sep << "{\"request_id\": \"" << JsonEscape(record.request_id)
        << "\", \"type\": \"" << JsonEscape(record.type) << "\", \"graph\": \""
        << JsonEscape(record.graph) << "\", \"exec_status\": \""
        << JsonEscape(record.exec_status) << "\", \"stop_reason\": \""
        << JsonEscape(record.stop_reason)
        << "\", \"latency_us\": " << record.latency_us
        << ", \"spans\": " << record.spans.size() << "}";
+    sep = ", ";
   }
   os << "]";
-#if EGO_OBS_ENABLED
   if (obs::Enabled()) {
     os << ",\n  \"metrics\": ";
     obs::Registry::Global().Snapshot().WriteJson(os);
   }
-#endif
   os << "\n}\n";
   return os.str();
 }
@@ -960,115 +944,6 @@ std::string CensusServer::SlowQueryTraceJson(
   return os.str();
 }
 
-void CensusServer::WriteDaemonExposition(std::ostream& os) const {
-  Counters counters = this->counters();
-  os << "# HELP egocensus_daemon_uptime_seconds seconds since Start()\n"
-     << "# TYPE egocensus_daemon_uptime_seconds gauge\n"
-     << "egocensus_daemon_uptime_seconds "
-     << static_cast<double>(Timer::NowMicros() - started_micros_) / 1e6
-     << "\n";
-  os << "# HELP egocensus_daemon_inflight executing QUERY/UPDATE requests\n"
-     << "# TYPE egocensus_daemon_inflight gauge\n"
-     << "egocensus_daemon_inflight " << inflight() << "\n";
-  os << "# HELP egocensus_daemon_requests_total dispatched frames by verb\n"
-     << "# TYPE egocensus_daemon_requests_total counter\n";
-  static constexpr FrameType kVerbs[] = {
-      FrameType::kQuery,  FrameType::kUpdate,   FrameType::kStatus,
-      FrameType::kLoad,   FrameType::kUnload,   FrameType::kShutdown,
-      FrameType::kMetrics};
-  for (FrameType verb : kVerbs) {
-    os << "egocensus_daemon_requests_total{verb=\"" << FrameTypeName(verb)
-       << "\"} " << VerbCount(verb) << "\n";
-  }
-  os << "# HELP egocensus_daemon_connections_total accepted sockets\n"
-     << "# TYPE egocensus_daemon_connections_total counter\n"
-     << "egocensus_daemon_connections_total " << counters.connections << "\n";
-  os << "# HELP egocensus_daemon_busy_rejected_total admission rejections\n"
-     << "# TYPE egocensus_daemon_busy_rejected_total counter\n"
-     << "egocensus_daemon_busy_rejected_total " << counters.busy_rejected
-     << "\n";
-  os << "# HELP egocensus_daemon_draining 1 while a graceful drain is in "
-        "progress\n"
-     << "# TYPE egocensus_daemon_draining gauge\n"
-     << "egocensus_daemon_draining " << (draining() ? 1 : 0) << "\n";
-  const std::vector<TenantQueueStats> tenants = queue_.TenantStats();
-  os << "# HELP egocensus_daemon_queue_depth requests queued per tenant\n"
-     << "# TYPE egocensus_daemon_queue_depth gauge\n";
-  for (const TenantQueueStats& t : tenants) {
-    os << "egocensus_daemon_queue_depth{tenant=\"" << PromLabel(t.tenant)
-       << "\"} " << t.depth << "\n";
-  }
-  os << "# HELP egocensus_daemon_queue_granted_total execution slots "
-        "granted per tenant\n"
-     << "# TYPE egocensus_daemon_queue_granted_total counter\n";
-  for (const TenantQueueStats& t : tenants) {
-    os << "egocensus_daemon_queue_granted_total{tenant=\""
-       << PromLabel(t.tenant) << "\"} " << t.granted << "\n";
-  }
-  os << "# HELP egocensus_daemon_queue_rejected_total requests that left "
-        "the queue without executing, by reason\n"
-     << "# TYPE egocensus_daemon_queue_rejected_total counter\n";
-  for (const TenantQueueStats& t : tenants) {
-    const std::pair<const char*, std::uint64_t> reasons[] = {
-        {"overflow", t.busy_overflow},
-        {"deadline", t.evicted_deadline},
-        {"disconnect", t.evicted_disconnect},
-        {"drain", t.evicted_drain}};
-    for (const auto& [reason, count] : reasons) {
-      os << "egocensus_daemon_queue_rejected_total{tenant=\""
-         << PromLabel(t.tenant) << "\",reason=\"" << reason << "\"} " << count
-         << "\n";
-    }
-  }
-  // Queue-wait histogram per tenant, cumulative buckets in the same log2
-  // layout as the obs exporter: upper bounds 0, 2^b - 1, +Inf.
-  os << "# HELP egocensus_daemon_queue_wait_us fair-queue wait of granted "
-        "requests\n"
-     << "# TYPE egocensus_daemon_queue_wait_us histogram\n";
-  for (const TenantQueueStats& t : tenants) {
-    std::uint64_t cumulative = 0;
-    for (std::size_t b = 0; b < t.wait_buckets.size(); ++b) {
-      cumulative += t.wait_buckets[b];
-      std::uint64_t upper = b == 0 ? 0 : (1ull << b) - 1;
-      os << "egocensus_daemon_queue_wait_us_bucket{tenant=\""
-         << PromLabel(t.tenant) << "\",le=\"" << upper << "\"} " << cumulative
-         << "\n";
-    }
-    os << "egocensus_daemon_queue_wait_us_bucket{tenant=\""
-       << PromLabel(t.tenant) << "\",le=\"+Inf\"} " << t.wait_count << "\n";
-    os << "egocensus_daemon_queue_wait_us_sum{tenant=\""
-       << PromLabel(t.tenant) << "\"} " << t.wait_sum_us << "\n";
-    os << "egocensus_daemon_queue_wait_us_count{tenant=\""
-       << PromLabel(t.tenant) << "\"} " << t.wait_count << "\n";
-  }
-  os << "# HELP egocensus_daemon_protocol_errors_total corrupt frames\n"
-     << "# TYPE egocensus_daemon_protocol_errors_total counter\n"
-     << "egocensus_daemon_protocol_errors_total " << counters.protocol_errors
-     << "\n";
-  os << "# HELP egocensus_daemon_disconnect_cancels_total censuses cancelled "
-        "by client hangup\n"
-     << "# TYPE egocensus_daemon_disconnect_cancels_total counter\n"
-     << "egocensus_daemon_disconnect_cancels_total "
-     << counters.disconnect_cancels << "\n";
-  os << "# HELP egocensus_daemon_fastpath_total census aggregates by graph "
-        "and routing\n"
-     << "# TYPE egocensus_daemon_fastpath_total counter\n";
-  for (const GraphSummary& graph : registry_.Summaries()) {
-    os << "egocensus_daemon_fastpath_total{graph=\"" << PromLabel(graph.name)
-       << "\",route=\"routed\"} " << graph.fastpath_routed << "\n";
-    os << "egocensus_daemon_fastpath_total{graph=\"" << PromLabel(graph.name)
-       << "\",route=\"generic\"} " << graph.fastpath_generic << "\n";
-  }
-  std::size_t slow = 0;
-  {
-    MutexLock lock(slow_mutex_);
-    slow = slow_ring_.size();
-  }
-  os << "# HELP egocensus_daemon_slow_queries captured slow-query ring size\n"
-     << "# TYPE egocensus_daemon_slow_queries gauge\n"
-     << "egocensus_daemon_slow_queries " << slow << "\n";
-}
-
 std::uint64_t CensusServer::RetryAfterMsHint() const {
   std::uint64_t ewma_us = exec_ewma_us_.load(std::memory_order_relaxed);
   if (ewma_us == 0) ewma_us = 50'000;  // no history yet: assume 50 ms
@@ -1122,7 +997,6 @@ void CensusServer::FinishRequest(const RequestContext& ctx,
     while (ring_.size() > options_.ring_capacity) ring_.pop_back();
   }
 
-#if EGO_OBS_ENABLED
   // Request-scoped registry families, labeled by verb/graph so the METRICS
   // exposition can slice traffic (docs/OBSERVABILITY.md).
   if (obs::Enabled()) {
@@ -1136,7 +1010,6 @@ void CensusServer::FinishRequest(const RequestContext& ctx,
       obs::CounterAdd(obs::LabeledName("server/request_errors", labels), 1);
     }
   }
-#endif
 
   // The canonical wide event: one line per request (docs/OBSERVABILITY.md,
   // "Request telemetry"). No-op unless a sink is configured.

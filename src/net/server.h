@@ -34,7 +34,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <iosfwd>
 #include <list>
 #include <map>
 #include <memory>
@@ -125,7 +124,7 @@ class CensusServer {
   /// "slow_queries" and the Chrome-trace dump (SlowQueryTraceJson). Spans
   /// are request-local (queue wait, execute window, per-aggregate census
   /// phases), so capture never races the global tracer; counters are the
-  /// request's obs snapshot delta (empty when obs is off or compiled out).
+  /// request's obs snapshot delta (empty when obs is off).
   struct SlowQueryRecord {
     std::string request_id;
     std::string type;
@@ -221,6 +220,9 @@ class CensusServer {
   void AcceptLoop();
   void ServeConnection(Connection* connection);
 
+  /// A fresh server-assigned request id (net/request_context.h).
+  std::string NextRequestId();
+
   /// Dispatches one request frame; returns the response to send.
   /// `client_fd` powers the disconnect watcher; `*close_after` is set by
   /// SHUTDOWN.
@@ -246,10 +248,9 @@ class CensusServer {
   /// times, clamped to [25ms, 10s].
   std::uint64_t RetryAfterMsHint() const;
 
-  /// The always-compiled daemon families of the METRICS exposition
-  /// (uptime, per-verb requests, per-graph fastpath routing) — available
-  /// even when the obs registry is off or compiled out.
-  void WriteDaemonExposition(std::ostream& os) const;
+  /// The registry entry a QUERY/UPDATE names in its `graph` header.
+  [[nodiscard]] Result<std::shared_ptr<GraphEntry>> RequestGraph(
+      const Message& request) const;
 
   // egolint: no-guard(immutable after construction, read lock-free)
   Options options_;

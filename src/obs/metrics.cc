@@ -14,7 +14,6 @@
 
 namespace egocensus::obs {
 
-#if EGO_OBS_ENABLED
 namespace internal {
 std::atomic<bool> g_enabled{false};
 }  // namespace internal
@@ -22,7 +21,6 @@ std::atomic<bool> g_enabled{false};
 void SetEnabled(bool enabled) {
   internal::g_enabled.store(enabled, std::memory_order_relaxed);
 }
-#endif
 
 std::size_t HistogramBucket(std::uint64_t value) {
   if (value == 0) return 0;
@@ -33,6 +31,13 @@ std::size_t HistogramBucket(std::uint64_t value) {
 
 std::uint64_t HistogramBucketLow(std::size_t b) {
   return b == 0 ? 0 : std::uint64_t{1} << (b - 1);
+}
+
+void HistogramSnapshot::Record(std::uint64_t value) {
+  ++count;
+  sum += value;
+  max = std::max(max, value);
+  ++buckets[HistogramBucket(value)];
 }
 
 void HistogramSnapshot::Merge(const HistogramSnapshot& other) {

@@ -50,6 +50,8 @@ struct HistogramSnapshot {
   std::uint64_t max = 0;
   std::array<std::uint64_t, kHistogramBuckets> buckets{};
 
+  /// Adds one value (for histograms kept outside the registry).
+  void Record(std::uint64_t value);
   /// Order-insensitive: buckets/count/sum summed, max max-ed.
   void Merge(const HistogramSnapshot& other);
 
@@ -124,11 +126,8 @@ class Registry {
 class CounterHandle {
  public:
   CounterHandle() = default;
-  explicit CounterHandle(std::string_view name) {
-#if EGO_OBS_ENABLED
-    id_ = Registry::Global().InternCounter(name);
-#endif
-  }
+  explicit CounterHandle(std::string_view name)
+      : id_(Registry::Global().InternCounter(name)) {}
   void Add(std::uint64_t delta) const {
     if (Enabled()) Registry::Global().CounterAdd(id_, delta);
   }
@@ -140,11 +139,8 @@ class CounterHandle {
 class GaugeHandle {
  public:
   GaugeHandle() = default;
-  explicit GaugeHandle(std::string_view name) {
-#if EGO_OBS_ENABLED
-    id_ = Registry::Global().InternGauge(name);
-#endif
-  }
+  explicit GaugeHandle(std::string_view name)
+      : id_(Registry::Global().InternGauge(name)) {}
   void Max(std::uint64_t value) const {
     if (Enabled()) Registry::Global().GaugeMax(id_, value);
   }
@@ -156,11 +152,8 @@ class GaugeHandle {
 class HistogramHandle {
  public:
   HistogramHandle() = default;
-  explicit HistogramHandle(std::string_view name) {
-#if EGO_OBS_ENABLED
-    id_ = Registry::Global().InternHistogram(name);
-#endif
-  }
+  explicit HistogramHandle(std::string_view name)
+      : id_(Registry::Global().InternHistogram(name)) {}
   void Record(std::uint64_t value) const {
     if (Enabled()) Registry::Global().HistogramRecord(id_, value);
   }
@@ -190,8 +183,7 @@ inline void HistogramRecord(std::string_view name, std::uint64_t value) {
 
 // Macro forms for string-literal sites: the handle is a function-local
 // static, so the name is interned exactly once per site, lazily on the
-// first *enabled* pass. With EGO_OBS_ENABLED=0, Enabled() is constexpr
-// false and the whole statement (static included) is eliminated.
+// first *enabled* pass.
 #define EGO_COUNTER_ADD(name, delta)                               \
   do {                                                             \
     if (::egocensus::obs::Enabled()) {                             \

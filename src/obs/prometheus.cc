@@ -119,8 +119,8 @@ void WriteHistogramFamilies(
   }
 }
 
-}  // namespace
-
+/// Escapes one label value for the exposition format (backslash, double
+/// quote, newline).
 std::string PromEscapeLabelValue(std::string_view value) {
   std::string out;
   out.reserve(value.size());
@@ -141,6 +141,8 @@ std::string PromEscapeLabelValue(std::string_view value) {
   }
   return out;
 }
+
+}  // namespace
 
 std::string LabeledName(
     std::string_view base,

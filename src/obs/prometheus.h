@@ -39,9 +39,6 @@ std::string LabeledName(
     std::string_view base,
     const std::vector<std::pair<std::string_view, std::string_view>>& labels);
 
-/// Escapes one label value (the rules LabeledName applies).
-std::string PromEscapeLabelValue(std::string_view value);
-
 /// Renders the whole snapshot as text exposition v0.0.4.
 void WritePrometheus(const MetricsSnapshot& snapshot, std::ostream& os);
 

@@ -1,7 +1,6 @@
 #include "util/build_info.h"
 
 #include "exec/failpoints.h"
-#include "obs/obs.h"
 
 // Configure-time identity, injected per-source-file by src/CMakeLists.txt
 // so only this translation unit recompiles when the revision changes.
@@ -18,11 +17,6 @@ BuildInfo GetBuildInfo() {
   BuildInfo info;
   info.git_describe = EGOCENSUS_GIT_DESCRIBE;
   info.build_type = EGOCENSUS_BUILD_TYPE;
-#if EGO_OBS_ENABLED
-  info.obs_enabled = true;
-#else
-  info.obs_enabled = false;
-#endif
   info.failpoints_enabled = failpoints::CompiledIn();
   return info;
 }
@@ -30,8 +24,7 @@ BuildInfo GetBuildInfo() {
 std::string BuildInfoString() {
   BuildInfo info = GetBuildInfo();
   return "egocensus " + info.git_describe + " (" + info.build_type +
-         "; obs=" + (info.obs_enabled ? "on" : "off") +
-         " failpoints=" + (info.failpoints_enabled ? "on" : "off") + ")";
+         "; failpoints=" + (info.failpoints_enabled ? "on" : "off") + ")";
 }
 
 }  // namespace egocensus

@@ -1,11 +1,10 @@
 #ifndef EGOCENSUS_UTIL_BUILD_INFO_H_
 #define EGOCENSUS_UTIL_BUILD_INFO_H_
 
-// Build identity of this binary: git revision, build type, and which
-// compile-time feature gates are on. Clients use the daemon's STATUS copy
-// of this string to detect server capabilities (e.g. whether metrics are
-// compiled in before asking for them); `ecensus --version` and
-// `ecensusd --version` print it.
+// Build identity of this binary: git revision, build type, and whether the
+// fault-injection failpoints are compiled in. The daemon stamps this string
+// on every response (`server` header) and in STATUS; `ecensus --version`
+// and `ecensusd --version` print it.
 
 #include <string>
 
@@ -15,7 +14,6 @@ namespace egocensus {
 struct BuildInfo {
   std::string git_describe;  // `git describe --always --dirty` at configure
   std::string build_type;    // CMAKE_BUILD_TYPE
-  bool obs_enabled = false;         // EGOCENSUS_OBS (metrics/tracing)
   bool failpoints_enabled = false;  // EGOCENSUS_FAILPOINTS (fault injection)
 };
 
@@ -23,7 +21,7 @@ struct BuildInfo {
 BuildInfo GetBuildInfo();
 
 /// One-line rendering:
-///   egocensus <git> (<build-type>; obs=on|off failpoints=on|off)
+///   egocensus <git> (<build-type>; failpoints=on|off)
 std::string BuildInfoString();
 
 }  // namespace egocensus

@@ -33,6 +33,21 @@ TEST(ResultTableTest, SortByColumnDesc) {
   EXPECT_EQ(std::get<std::int64_t>(t.At(2, 0)), 1);
 }
 
+TEST(ResultTableTest, SortForTopSkipsStateColumns) {
+  ResultTable t({"ID", "COUNTP(t,1)", "COUNTP(t,1).state"});
+  t.AddRow({std::int64_t{1}, std::int64_t{5}, std::string("complete")});
+  t.AddRow({std::int64_t{2}, std::int64_t{9}, std::string("approx")});
+  t.SortForTop();
+  EXPECT_EQ(std::get<std::int64_t>(t.At(0, 0)), 2);
+
+  // Only an ID column (plus state): nothing to sort by, order kept.
+  ResultTable ids({"ID", "x.state"});
+  ids.AddRow({std::int64_t{1}, std::string("complete")});
+  ids.AddRow({std::int64_t{2}, std::string("complete")});
+  ids.SortForTop();
+  EXPECT_EQ(std::get<std::int64_t>(ids.At(0, 0)), 1);
+}
+
 TEST(ResultTableTest, MultiKeySortStable) {
   ResultTable t({"group", "value"});
   t.AddRow({std::int64_t{2}, std::int64_t{10}});

@@ -16,6 +16,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <regex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -176,7 +177,6 @@ TEST(NetObservabilityTest, ClientRequestIdEchoesOnEveryResponseType) {
 
 // ---- the wide log event --------------------------------------------------
 
-#if EGO_OBS_ENABLED
 TEST(NetObservabilityTest, PropagatedIdAppearsInExactlyOneLogLine) {
   obs::Logger& logger = obs::Logger::Global();
   logger.ResetForTest();
@@ -249,16 +249,36 @@ TEST(NetObservabilityTest, RateLimitDropsExcessLines) {
       << "five STATUS requests in one window must exceed 1 line/s";
   logger.ResetForTest();
 }
-#endif  // EGO_OBS_ENABLED
 
 // ---- METRICS exposition ----------------------------------------------------
 
+/// One exposition family as scraped: its # TYPE and the label-key sets its
+/// samples carry (histogram `le` excluded).
+struct ScrapedFamily {
+  std::string type;
+  std::set<std::set<std::string>> label_keys;
+};
+
+/// Label keys of one sample name `base{k="v",...}`; values may hold
+/// escaped quotes and commas.
+std::set<std::string> LabelKeys(const std::string& name) {
+  static const std::regex kLabel(R"re(([A-Za-z_]\w*)="(?:[^"\\]|\\.)*")re");
+  std::set<std::string> keys;
+  for (std::sregex_iterator it(name.begin(), name.end(), kLabel), end;
+       it != end; ++it) {
+    if ((*it)[1] != "le") keys.insert((*it)[1]);
+  }
+  return keys;
+}
+
 /// Hand-rolled Prometheus text-format (v0.0.4) validator: every sample's
 /// family must be declared by a preceding # TYPE, sample lines must carry a
-/// parseable value, and histogram bucket series must be cumulative.
-void ValidateExposition(const std::string& text) {
-  std::map<std::string, std::string> family_type;  // family -> counter|gauge|histogram
-  std::map<std::string, double> last_bucket;       // series prefix -> last le value
+/// parseable value, and histogram bucket series must be cumulative. Returns
+/// the families it saw.
+std::map<std::string, ScrapedFamily> ValidateExposition(
+    const std::string& text) {
+  std::map<std::string, ScrapedFamily> families;
+  std::map<std::string, double> last_bucket;  // series prefix -> last le value
   for (const std::string& line : SplitLines(text)) {
     if (line.empty()) continue;
     if (line[0] == '#') {
@@ -270,13 +290,14 @@ void ValidateExposition(const std::string& text) {
         EXPECT_TRUE(rest == "counter" || rest == "gauge" ||
                     rest == "histogram")
             << line;
-        family_type[family] = rest;
+        families[family].type = rest;
       }
       continue;
     }
     // Sample: name{labels} value  (labels optional).
     std::size_t space = line.rfind(' ');
-    ASSERT_NE(space, std::string::npos) << line;
+    EXPECT_NE(space, std::string::npos) << line;
+    if (space == std::string::npos) continue;
     std::string name = line.substr(0, space);
     std::string value = line.substr(space + 1);
     EXPECT_FALSE(value.empty()) << line;
@@ -291,18 +312,19 @@ void ValidateExposition(const std::string& text) {
       std::size_t n = std::string(suffix).size();
       if (family.size() > n &&
           family.compare(family.size() - n, n, suffix) == 0 &&
-          family_type.count(family.substr(0, family.size() - n))) {
+          families.count(family.substr(0, family.size() - n))) {
         family = family.substr(0, family.size() - n);
       }
     }
-    EXPECT_TRUE(family_type.count(family))
+    EXPECT_TRUE(families.count(family))
         << "sample with no preceding # TYPE: " << line;
+    families[family].label_keys.insert(LabelKeys(name));
 
     // Cumulative-bucket check: within one series, counts never decrease as
     // `le` grows (buckets arrive in ascending order; +Inf is last).
     if (base.size() > 7 && base.compare(base.size() - 7, 7, "_bucket") == 0) {
       std::size_t le = name.rfind("le=\"");
-      ASSERT_NE(le, std::string::npos) << line;
+      EXPECT_NE(le, std::string::npos) << line;
       std::string series = name.substr(0, le);
       auto it = last_bucket.find(series);
       if (it != last_bucket.end()) {
@@ -311,13 +333,15 @@ void ValidateExposition(const std::string& text) {
       last_bucket[series] = parsed;
     }
   }
-  EXPECT_FALSE(family_type.empty()) << "exposition had no families";
+  EXPECT_FALSE(families.empty()) << "exposition had no families";
+  return families;
 }
 
+// METRICS parses, counts this traffic, and carries every daemon and server
+// family docs/OBSERVABILITY.md lists, with its documented TYPE and label
+// keys.
 TEST(NetObservabilityTest, MetricsExpositionParsesAndCountsTraffic) {
-#if EGO_OBS_ENABLED
   obs::SetEnabled(true);
-#endif
   auto server = StartServer(TestGraph(600, 4, 29), {});
   auto client = Client::Connect(EndpointOf(*server));
   ASSERT_TRUE(client.ok());
@@ -325,36 +349,63 @@ TEST(NetObservabilityTest, MetricsExpositionParsesAndCountsTraffic) {
   auto query = client->Call(Client::QueryRequest("g", kTriangleQuery));
   ASSERT_TRUE(query.ok());
   ASSERT_EQ(query->Header("exec_status", ""), "OK");
+  // An unknown graph puts a sample into the request_errors family.
+  auto bad = client->Call(Client::QueryRequest("nope", kTriangleQuery));
+  ASSERT_TRUE(bad.ok());
+  ASSERT_EQ(bad->type, FrameType::kError);
 
   auto metrics = client->Call(Client::MetricsRequest());
+  obs::SetEnabled(false);
   ASSERT_TRUE(metrics.ok());
   EXPECT_EQ(metrics->type, FrameType::kResult);
   EXPECT_EQ(metrics->Header("content", ""), "text/plain; version=0.0.4");
 
   const std::string& body = metrics->body;
-  ValidateExposition(body);
+  const std::map<std::string, ScrapedFamily> scraped =
+      ValidateExposition(body);
+  for (const char* sample :
+       {"egocensus_daemon_requests_total{verb=\"QUERY\"} 2",
+        "egocensus_daemon_fastpath_total{graph=\"g\",route=\"routed\"} 1",
+        "egocensus_server_requests_total{verb=\"QUERY\",graph=\"g\"} 1",
+        "egocensus_server_latency_us_bucket{verb=\"QUERY\",graph=\"g\","
+        "le=\"+Inf\"} 1"}) {
+    EXPECT_NE(body.find(sample), std::string::npos) << sample << "\n" << body;
+  }
 
-  // The daemon families are always compiled: the QUERY tally and the
-  // per-graph fastpath routing counters must label this traffic.
-  EXPECT_NE(body.find("egocensus_daemon_requests_total{verb=\"QUERY\"} 1"),
-            std::string::npos)
-      << body;
-  EXPECT_NE(body.find("egocensus_daemon_uptime_seconds"), std::string::npos);
-  EXPECT_NE(body.find("egocensus_daemon_fastpath_total{graph=\"g\""),
-            std::string::npos)
-      << body;
-
-#if EGO_OBS_ENABLED
-  // With the registry on, the request-scoped families appear too, labeled
-  // by verb and graph, and the latency histogram renders buckets.
-  EXPECT_NE(body.find(
-                "egocensus_server_requests_total{verb=\"QUERY\",graph=\"g\"}"),
-            std::string::npos)
-      << body;
-  EXPECT_NE(body.find("egocensus_server_latency_us"), std::string::npos);
-  EXPECT_NE(body.find("_bucket{"), std::string::npos);
-  obs::SetEnabled(false);
-#endif
+  struct Documented {
+    const char* family;
+    const char* type;
+    std::set<std::string> labels;
+  };
+  const Documented documented[] = {
+      {"egocensus_daemon_uptime_seconds", "gauge", {}},
+      {"egocensus_daemon_inflight", "gauge", {}},
+      {"egocensus_daemon_requests_total", "counter", {"verb"}},
+      {"egocensus_daemon_connections_total", "counter", {}},
+      {"egocensus_daemon_busy_rejected_total", "counter", {}},
+      {"egocensus_daemon_protocol_errors_total", "counter", {}},
+      {"egocensus_daemon_disconnect_cancels_total", "counter", {}},
+      {"egocensus_daemon_fastpath_total", "counter", {"graph", "route"}},
+      {"egocensus_daemon_slow_queries", "gauge", {}},
+      {"egocensus_daemon_draining", "gauge", {}},
+      {"egocensus_daemon_queue_depth", "gauge", {"tenant"}},
+      {"egocensus_daemon_queue_granted_total", "counter", {"tenant"}},
+      {"egocensus_daemon_queue_rejected_total", "counter",
+       {"tenant", "reason"}},
+      {"egocensus_daemon_queue_wait_us", "histogram", {"tenant"}},
+      {"egocensus_server_requests_total", "counter", {"verb", "graph"}},
+      {"egocensus_server_latency_us", "histogram", {"verb", "graph"}},
+      {"egocensus_server_bytes_out_total", "counter", {"verb", "graph"}},
+      {"egocensus_server_request_errors_total", "counter", {"verb", "graph"}},
+  };
+  for (const Documented& doc : documented) {
+    auto it = scraped.find(doc.family);
+    ASSERT_NE(it, scraped.end()) << doc.family << " missing from METRICS";
+    EXPECT_EQ(it->second.type, doc.type) << doc.family;
+    const std::set<std::set<std::string>> expected{doc.labels};
+    EXPECT_EQ(it->second.label_keys, expected)
+        << doc.family << " carries other label keys";
+  }
 }
 
 // ---- slow-query capture ----------------------------------------------------

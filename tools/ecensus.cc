@@ -20,6 +20,7 @@
 //              SELECT ID, COUNTP(t, SUBGRAPH(ID, 1)) FROM nodes"
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -47,7 +48,16 @@ namespace {
 
 using namespace egocensus;
 
-/// Minimal --flag value parser; flags may appear in any order.
+/// A flag whose value does not parse as the number it must be. Thrown by
+/// the numeric getters wherever they are read and reported by main()
+/// through Fail(), so a typo exits 2 instead of running with a guess.
+struct BadFlag {
+  Status status;
+};
+
+/// Minimal --flag value parser; flags may appear in any order. A bare flag
+/// (no value) is present for Has() but leaves every getter at its
+/// fallback.
 class Args {
  public:
   Args(int argc, char** argv, int start) {
@@ -66,27 +76,47 @@ class Args {
         } else if (i + 1 < argc && !StartsWith(argv[i + 1], "--")) {
           values_[key] = argv[++i];
         } else {
-          values_[key] = "1";  // boolean flag
+          values_[key] = "";  // bare flag
         }
       }
     }
   }
 
   std::string Get(const std::string& key, const std::string& fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
+    const std::string* value = Value(key);
+    return value == nullptr ? fallback : *value;
   }
   std::uint64_t GetInt(const std::string& key, std::uint64_t fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stoull(it->second);
+    return GetNumber(key, fallback, "an unsigned integer");
   }
   double GetDouble(const std::string& key, double fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stod(it->second);
+    return GetNumber(key, fallback, "a number");
   }
   bool Has(const std::string& key) const { return values_.count(key) != 0; }
 
  private:
+  /// The flag's value; null when the flag is absent or bare.
+  const std::string* Value(const std::string& key) const {
+    auto it = values_.find(key);
+    return it == values_.end() || it->second.empty() ? nullptr : &it->second;
+  }
+
+  /// The whole value must parse: "1x", "abc" and "-1" are errors.
+  template <typename T>
+  T GetNumber(const std::string& key, T fallback, const char* expected) const {
+    const std::string* text = Value(key);
+    if (text == nullptr) return fallback;
+    T value{};
+    const char* end = text->data() + text->size();
+    auto [stop, error] = std::from_chars(text->data(), end, value);
+    if (error != std::errc() || stop != end) {
+      throw BadFlag{Status::InvalidArgument("--" + key + " expects " +
+                                            expected + ", got '" + *text +
+                                            "'")};
+    }
+    return value;
+  }
+
   std::map<std::string, std::string> values_;
 };
 
@@ -185,7 +215,6 @@ int WriteObsExports(const ObsExport& o) {
       return Fail(Status::Internal("cannot open trace output: " +
                                    o.trace_path));
     }
-    // egolint: allow-obs(Tracer is declared unconditionally and stubbed under EGO_OBS_ENABLED=0 — the export is an empty trace, not a build break)
     obs::Tracer::Global().WriteChromeTrace(out);
     std::cerr << "trace: " << o.trace_path
               << " (load in chrome://tracing or ui.perfetto.dev)\n";
@@ -196,7 +225,6 @@ int WriteObsExports(const ObsExport& o) {
       return Fail(Status::Internal("cannot open metrics output: " +
                                    o.metrics_path));
     }
-    // egolint: allow-obs(MetricsSnapshot / Registry are declared unconditionally and stubbed under EGO_OBS_ENABLED=0 — the export is empty, not a build break)
     obs::MetricsSnapshot snap = obs::Registry::Global().Snapshot();
     if (EndsWith(o.metrics_path, ".csv")) {
       snap.WriteCsv(out);
@@ -263,14 +291,6 @@ void WriteStatsCsv(const std::vector<CensusStats>& stats,
   }
 }
 
-/// Highest sortable column for --top: count columns sort, trailing .state
-/// columns (appended on interrupted governed runs) do not.
-std::size_t TopSortColumn(const ResultTable& table) {
-  std::size_t cols = table.NumColumns();
-  while (cols > 0 && EndsWith(table.columns()[cols - 1], ".state")) --cols;
-  return cols;
-}
-
 /// Reads --query inline text or --query-file contents.
 [[nodiscard]] Result<std::string> ReadQueryArg(const Args& args) {
   std::string query = args.Get("query", "");
@@ -293,7 +313,8 @@ std::size_t TopSortColumn(const ResultTable& table) {
 /// Maps the census-shaping flags onto the query setting keys (the wire's
 /// header names), so local and remote queries go through the same parser,
 /// ParseQueryOptions. --degrade-approx takes a fraction; the setting is in
-/// permille.
+/// permille, and 0 (a bare flag, or a rate outside (0, 1]) keeps the
+/// default rate.
 QuerySettings QuerySettingsFromArgs(const Args& args) {
   QuerySettings settings;
   for (const char* key : {"algorithm", "matcher", "threads", "seed"}) {
@@ -417,7 +438,6 @@ int RunInfo(const Args& args) {
 
 /// Prints the metrics snapshot as aligned text tables (counters, gauges,
 /// histograms with approximate percentiles) — the `ecensus stats` view.
-// egolint: allow-obs(MetricsSnapshot is declared unconditionally and stubbed under EGO_OBS_ENABLED=0 — stats mode prints "no metrics recorded")
 void PrintMetricsTables(const obs::MetricsSnapshot& snap, std::ostream& os) {
   if (snap.empty()) {
     os << "no metrics recorded\n";
@@ -453,6 +473,8 @@ int RunQuery(const Args& args, bool stats_mode) {
   if (!graph.ok()) return Fail(graph.status());
   auto query = ReadQueryArg(args);
   if (!query.ok()) return Fail(query.status());
+  // Parsed before the census runs, so a malformed --top fails fast.
+  const std::size_t top = static_cast<std::size_t>(args.GetInt("top", 20));
 
   ObsExport obs_export = ObsFromArgs(args);
   if (stats_mode) obs::SetEnabled(true);
@@ -472,9 +494,7 @@ int RunQuery(const Args& args, bool stats_mode) {
   // A governed run that stopped early still produced a (partial) table;
   // print it, then exit non-zero with the stop reason.
   Status exec_status = engine.last_exec_status();
-  if (args.Has("top") && TopSortColumn(*result) >= 2) {
-    result->SortByColumnDesc(TopSortColumn(*result) - 1);
-  }
+  if (args.Has("top")) result->SortForTop();
   if (stats_mode) {
     // Result rows are elided: the subcommand's product is the metric view.
     std::cout << "query returned " << result->NumRows() << " rows\n";
@@ -483,16 +503,12 @@ int RunQuery(const Args& args, bool stats_mode) {
                 << "\n";
     }
     std::cout << "\n";
-    // egolint: allow-obs(Registry is declared unconditionally and stubbed under EGO_OBS_ENABLED=0 — stats mode degrades to an empty table)
     PrintMetricsTables(obs::Registry::Global().Snapshot(), std::cout);
   } else if (args.Has("csv")) {
     result->WriteCsv(std::cout);
     WriteStatsCsv(engine.last_stats(), engine.last_exec(), std::cerr);
   } else {
-    std::size_t limit = args.Has("top")
-                            ? static_cast<std::size_t>(args.GetInt("top", 20))
-                            : result->NumRows();
-    std::cout << result->ToString(limit);
+    std::cout << result->ToString(args.Has("top") ? top : result->NumRows());
     for (std::size_t i = 0; i < engine.last_stats().size(); ++i) {
       const CensusStats& s = engine.last_stats()[i];
       std::cout << "aggregate " << i << ": plan=" << engine.last_exec()[i].plan
@@ -516,6 +532,7 @@ int RunUpdate(const Args& args) {
   if (!graph.ok()) return Fail(graph.status());
   auto query = ReadQueryArg(args);
   if (!query.ok()) return Fail(query.status());
+  const std::size_t top = static_cast<std::size_t>(args.GetInt("top", 20));
   ObsExport obs_export = ObsFromArgs(args);
   std::string updates_path = args.Get("updates", "");
   if (updates_path.empty()) {
@@ -558,17 +575,12 @@ int RunUpdate(const Args& args) {
   }
 
   ResultTable counts = session->CountsTable();
-  if (args.Has("top") && TopSortColumn(counts) >= 2) {
-    counts.SortByColumnDesc(TopSortColumn(counts) - 1);
-  }
+  if (args.Has("top")) counts.SortForTop();
   if (csv) {
     counts.WriteCsv(std::cout);
   } else {
     std::cout << "maintained counts:\n";
-    std::size_t limit = args.Has("top")
-                            ? static_cast<std::size_t>(args.GetInt("top", 20))
-                            : counts.NumRows();
-    std::cout << counts.ToString(limit);
+    std::cout << counts.ToString(args.Has("top") ? top : counts.NumRows());
     std::cout << "stats: applied=" << total.updates_applied
               << " noop=" << total.noop_updates
               << " delta_matches=" << total.delta_matches
@@ -618,10 +630,6 @@ int RunRemote(const std::string& action, const Args& args) {
     auto query = ReadQueryArg(args);
     if (!query.ok()) return Fail(query.status());
     request = net::Client::QueryRequest(graph, *query);
-    if (args.Has("timeout-ms")) {
-      request.headers["deadline_ms"] =
-          std::to_string(args.GetInt("timeout-ms", 0));
-    }
     if (args.Has("memory-budget-mb")) {
       request.headers["memory_budget_mb"] =
           std::to_string(args.GetInt("memory-budget-mb", 0));
@@ -646,10 +654,6 @@ int RunRemote(const std::string& action, const Args& args) {
     std::ostringstream ss;
     ss << in.rdbuf();
     request = net::Client::UpdateRequest(graph, ss.str());
-    if (args.Has("timeout-ms")) {
-      request.headers["deadline_ms"] =
-          std::to_string(args.GetInt("timeout-ms", 0));
-    }
   } else if (action == "status") {
     request = net::Client::StatusRequest();
     if (args.Has("slow-trace")) {
@@ -682,6 +686,10 @@ int RunRemote(const std::string& action, const Args& args) {
   }
 
   if (!request_id.empty()) request.headers["request_id"] = request_id;
+  if ((action == "query" || action == "update") && args.Has("timeout-ms")) {
+    request.headers["deadline_ms"] =
+        std::to_string(args.GetInt("timeout-ms", 0));
+  }
   // Tenant tag for the daemon's fair queue (docs/SERVER.md, "Admission and
   // queueing"). Invalid names fall back to the shared default tenant
   // server-side rather than erroring.
@@ -746,9 +754,7 @@ int RunRemote(const std::string& action, const Args& args) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
   std::string command = argv[1];
   if (command == "--version" || command == "version") {
@@ -771,4 +777,14 @@ int main(int argc, char** argv) {
   if (command == "update") return RunUpdate(args);
   std::cerr << "unknown subcommand: " << command << "\n";
   return Usage();
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return Main(argc, argv);
+  } catch (const BadFlag& bad) {
+    return Fail(bad.status);
+  }
 }

@@ -15,12 +15,12 @@ namespace egolint {
 namespace {
 
 const char* const kKnownChecks[] = {"status-discipline", "checkpoint-coverage",
-                                    "obs-gating", "include-hygiene",
-                                    "request-discipline", "lock-discipline"};
+                                    "include-hygiene", "request-discipline",
+                                    "lock-discipline"};
 
 const char* const kKnownSuppressions[] = {
     "no-nodiscard", "allow-discard",       "no-checkpoint",
-    "allow-obs",    "allow-using-namespace", "allow-include",
+    "allow-using-namespace", "allow-include",
     "no-request-context", "allow-bare-response",
     "allow-raw-mutex", "no-guard"};
 
@@ -68,9 +68,6 @@ std::vector<Finding> RunLint(const std::vector<SourceFile>& files,
   }
   if (Enabled(options, "checkpoint-coverage")) {
     internal::CheckCheckpointCoverage(models, &raw);
-  }
-  if (Enabled(options, "obs-gating")) {
-    internal::CheckObsGating(models, &raw);
   }
   if (Enabled(options, "include-hygiene")) {
     internal::CheckIncludeHygiene(models, &raw);
